@@ -27,6 +27,10 @@ ATTRIBUTES = ("np", "dist", "smoke", "fam")
 #: Suffix used to label first-choice interaction coefficients, e.g. "np:first".
 FIRST_SUFFIX = ":first"
 
+#: Exclusive upper bound of the continuous attributes.  ``0 <= x < _INF`` is
+#: False for NaN, so the one comparison rejects negative and non-finite values.
+_INF = float("inf")
+
 
 def _check_binary(value, name):
     if value not in (0, 1):
@@ -40,9 +44,10 @@ class ExitAttributes:
     Parameters
     ----------
     np : float
-        Number of people already using the exit (>= 0).
+        Number of people already using the exit (finite, >= 0).
     dist : float
-        Distance from the decision-maker to the exit, in meters (>= 0).
+        Distance from the decision-maker to the exit, in meters (finite,
+        >= 0).
     smoke : int
         1 if smoke is present at the exit, 0 otherwise.
     fam : int
@@ -55,10 +60,10 @@ class ExitAttributes:
     fam: int
 
     def __post_init__(self):
-        if self.np < 0:
-            raise ValueError(f"np must be >= 0, got {self.np}")
-        if self.dist < 0:
-            raise ValueError(f"dist must be >= 0, got {self.dist}")
+        if not 0 <= self.np < _INF:
+            raise ValueError(f"np must be finite and >= 0, got {self.np}")
+        if not 0 <= self.dist < _INF:
+            raise ValueError(f"dist must be finite and >= 0, got {self.dist}")
         _check_binary(self.smoke, "smoke")
         _check_binary(self.fam, "fam")
 

@@ -9,7 +9,17 @@ swaps, restarted several times, which is exact on small instances (checked
 against exhaustive enumeration in the tests).
 
 Information is additive over scenarios, so the search precomputes one K x K
-contribution per candidate and scores subsets by summing contributions.
+contribution per candidate into an (n, K, K) array and scores subsets by
+summing contributions.  Each step of the search is a batched scan: the
+partial design's information is added to every candidate's contribution, in
+blocks of ``_BLOCK`` candidates, and each block's D-errors come from one
+stacked ``eigvalsh`` call.  Candidates already in the design are masked after
+scoring.  The scan returns the same indices and bitwise the same D-errors as
+scoring one candidate at a time: stacked eigenvalues, logs and sums equal the
+single-matrix ones, the exponential is ``math.exp`` per row, ties go to the
+lowest candidate index (the first strict minimum in (design position,
+candidate) order for swaps), and a matrix whose smallest eigenvalue is at
+most ``_RANK_RTOL`` times its largest is singular and scores +inf.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ from .estimation import NotIdentifiedError
 #: Relative eigenvalue threshold below which an information matrix is
 #: treated as singular.
 _RANK_RTOL = 1e-10
+
+#: Candidates scored per stacked ``eigvalsh`` call in the search; bounds the
+#: scan's scratch stack at ``_BLOCK`` x K x K.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -136,12 +150,26 @@ def fisher_information(design: Sequence[Scenario], spec: ModelSpec,
     return parts.sum(axis=0)
 
 
+def _d_errors(infos: np.ndarray, k: int) -> np.ndarray:
+    """D-errors of a stack of information matrices, shape (m, K, K) -> (m,).
+
+    Row-wise det(I)^(-1/K) from one stacked eigendecomposition, +inf where
+    the matrix is singular.  The exponential is ``math.exp`` per row, since
+    ``np.exp`` can differ from it in the last bit.
+    """
+    eigval = np.linalg.eigvalsh(infos)
+    top = eigval[:, -1]
+    regular = ~((top <= 0) | (eigval[:, 0] <= _RANK_RTOL * top))
+    d = np.full(len(eigval), math.inf)
+    if regular.any():
+        scaled = -np.log(eigval[regular]).sum(axis=1) / k
+        d[regular] = list(map(math.exp, scaled.tolist()))
+    return d
+
+
 def _d_from_information(info: np.ndarray, k: int) -> float:
     """D-error of an information matrix: det(I)^(-1/K), +inf if singular."""
-    eigval = np.linalg.eigvalsh(info)
-    if eigval[-1] <= 0 or eigval[0] <= _RANK_RTOL * eigval[-1]:
-        return math.inf
-    return float(math.exp(-np.log(eigval).sum() / k))
+    return float(_d_errors(info[None], k)[0])
 
 
 def d_error(design: Sequence[Scenario], spec: ModelSpec, priors,
@@ -179,7 +207,19 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
     if size > n:
         raise ValueError(f"size {size} exceeds candidate count {n}")
     k = spec.n_params
-    parts = [_scenario_information(s, spec, beta, c1) for s in candidates]
+    parts = np.empty((n, k, k))
+    for i, scenario in enumerate(candidates):
+        parts[i] = _scenario_information(scenario, spec, beta, c1)
+    scratch = np.empty((min(n, _BLOCK), k, k))
+
+    def scan(base: np.ndarray) -> np.ndarray:
+        """D-error of ``base + parts[c]`` for every candidate c."""
+        d = np.empty(n)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            d[lo:hi] = _d_errors(
+                np.add(base, parts[lo:hi], out=scratch[:hi - lo]), k)
+        return d
 
     def finish(indices: Sequence[int]) -> EfficientDesign:
         picked = sorted(indices)
@@ -197,19 +237,17 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
 
     rng = np.random.default_rng(seed)
     best_d, best_idx = math.inf, None
+    everything = np.arange(n)
 
     for _ in range(max(1, iterations)):
         design = [int(rng.integers(n))]
         info = parts[design[0]].copy()
 
         while len(design) < size:
-            pick, pick_d = None, math.inf
-            for c in range(n):
-                if not with_replacement and c in design:
-                    continue
-                d = _d_from_information(info + parts[c], k)
-                if d < pick_d or pick is None:
-                    pick, pick_d = c, d
+            d = scan(info)
+            free = (everything if with_replacement
+                    else np.delete(everything, design))
+            pick = int(free[np.argmin(d[free])])
             design.append(pick)
             info += parts[pick]
 
@@ -219,14 +257,13 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
             improved = False
             swap, swap_d = None, current
             for pos, m in enumerate(design):
-                base = info - parts[m]
-                for c in range(n):
-                    if not with_replacement and c in design:
-                        continue
-                    d = _d_from_information(base + parts[c], k)
-                    if d < swap_d:
-                        swap, swap_d = (pos, c), d
-            if swap is not None and swap_d < current:
+                d = scan(info - parts[m])
+                if not with_replacement:
+                    d[design] = math.inf
+                c = int(np.argmin(d))
+                if d[c] < swap_d:
+                    swap, swap_d = (pos, c), float(d[c])
+            if swap is not None:
                 pos, c = swap
                 info = info - parts[design[pos]] + parts[c]
                 design[pos] = c

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -245,7 +246,9 @@ def read_params_csv(path) -> dict[str, tuple[float, float | None]]:
     """Read a coefficient table into name -> (estimate, std_error or None).
 
     Accepts the inference-table layout or any prefix of it that includes
-    name and estimate.  Keeps file order (useful to rebuild a ModelSpec).
+    name and estimate.  Estimates must be finite and standard errors, where
+    the layout has them, finite and positive.  Keeps file order (useful to
+    rebuild a ModelSpec).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -273,6 +276,14 @@ def read_params_csv(path) -> dict[str, tuple[float, float | None]]:
                 se = float(row[2]) if has_se else None
             except ValueError as exc:
                 raise DataFileError(f"line {line}: {exc}") from exc
+            if not math.isfinite(est):
+                raise DataFileError(
+                    f"line {line}: estimate of {name!r} must be finite, "
+                    f"got {row[1]!r}")
+            if has_se and not 0 < se < math.inf:
+                raise DataFileError(
+                    f"line {line}: std_error of {name!r} must be finite and "
+                    f"> 0, got {row[2]!r}")
             params[name] = (est, se)
     if not params:
         raise DataFileError("coefficient file has no rows")

@@ -99,6 +99,25 @@ def test_estimate_validation_error_exit_2(tmp_path):
     assert main(["estimate", "--data", str(missing)]) == 2
 
 
+def test_estimate_non_finite_attribute_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(io.CHOICE_HEADER) + "\n"
+                   + "1,p,s,A,0,6,0,1,1,0\n"
+                   + "1,p,s,B,nan,3.6,1,0,0,0\n")
+    assert main(["estimate", "--data", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_simulate_bad_std_error_exit_2(tmp_path, scenarios_csv, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("name,estimate,std_error\nnp,0.04,0.01\n"
+                      "np:first,0.19,nan\n")
+    assert main(["simulate", "--params", str(params), "--scenarios",
+                 scenarios_csv, "--n", "2", "--out",
+                 str(tmp_path / "x.csv")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_estimate_not_identified_exit_3(tmp_path, params2, scenarios_csv,
                                         capsys):
     sim = tmp_path / "sim.csv"

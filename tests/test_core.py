@@ -161,6 +161,14 @@ def test_exit_attributes_validation():
         ExitAttributes(np=0, dist=0, smoke=0, fam=0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_exit_attributes_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="np must be finite"):
+        ExitAttributes(np=bad, dist=0, smoke=0, fam=0)
+    with pytest.raises(ValueError, match="dist must be finite"):
+        ExitAttributes(np=0, dist=bad, smoke=0, fam=0)
+
+
 def test_scenario_needs_two_distinct_labels():
     a = ExitAttributes(np=0, dist=1, smoke=0, fam=0)
     with pytest.raises(ValueError, match="at least 2"):

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exitchoice import (ChoiceObservation, ExitAttributes, FactorLevels,
-                        ModelSpec, NotIdentifiedError, Scenario, d_error,
-                        fisher_information, full_factorial, hessian,
+from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
+                        FactorLevels, ModelSpec, NotIdentifiedError, Scenario,
+                        d_error, fisher_information, full_factorial, hessian,
                         search_design)
 from exitchoice import reference as ref
+from exitchoice.design import _RANK_RTOL, _d_errors, _scenario_information
 
 POOLED_PRIORS = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -223,6 +226,10 @@ def test_search_over_full_experiment_universe():
                            seed=0, iterations=2)
     assert len(result.scenarios) == 8
     assert len({s.id for s in result.scenarios}) == 8
+    # pinned: the per-candidate loop search found exactly this design
+    assert [s.id for s in result.scenarios] == [61, 241, 301, 493, 1585,
+                                                1762, 1778, 1841]
+    assert result.d_error == 0.1606500516129518
     assert math.isfinite(result.d_error) and result.d_error > 0
     # every selected scenario is a member of the candidate universe
     ids = {s.id for s in candidates}
@@ -255,3 +262,196 @@ def test_efficient_design_d_error_recomputable():
     result = search_design(candidates, 4, spec, [0.1, -0.3], seed=1)
     recomputed = d_error(result.scenarios, result.spec, result.priors)
     assert recomputed == pytest.approx(result.d_error, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched search against the per-candidate loop
+# ---------------------------------------------------------------------------
+
+def loop_d(info, k):
+    """Per-matrix D-error rule: det(I)^(-1/K), +inf if singular."""
+    eigval = np.linalg.eigvalsh(info)
+    if eigval[-1] <= 0 or eigval[0] <= _RANK_RTOL * eigval[-1]:
+        return math.inf
+    return float(math.exp(-np.log(eigval).sum() / k))
+
+
+def loop_search(candidates, size, spec, priors, c1=0, seed=0, iterations=10,
+                with_replacement=False):
+    """Reference search: one eigendecomposition per candidate per step.
+
+    Greedy construction from a seeded random start, then best-improvement
+    pairwise swaps; returns (sorted candidate indices, D-error).
+    """
+    beta = np.asarray(priors, dtype=float)
+    n = len(candidates)
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    if size > n:
+        raise ValueError(f"size {size} exceeds candidate count {n}")
+    k = spec.n_params
+    parts = [_scenario_information(s, spec, beta, c1) for s in candidates]
+
+    def finish(indices):
+        picked = sorted(indices)
+        info = fisher_information([candidates[i] for i in picked], spec,
+                                  beta, c1)
+        d = loop_d(info, k)
+        if math.isinf(d):
+            raise NotIdentifiedError("no design identifies the spec")
+        return picked, d
+
+    if size == n and not with_replacement:
+        return finish(range(n))
+
+    rng = np.random.default_rng(seed)
+    best_d, best_idx = math.inf, None
+    for _ in range(max(1, iterations)):
+        design = [int(rng.integers(n))]
+        info = parts[design[0]].copy()
+        while len(design) < size:
+            pick, pick_d = None, math.inf
+            for c in range(n):
+                if not with_replacement and c in design:
+                    continue
+                d = loop_d(info + parts[c], k)
+                if d < pick_d or pick is None:
+                    pick, pick_d = c, d
+            design.append(pick)
+            info += parts[pick]
+
+        current = loop_d(info, k)
+        improved = True
+        while improved:
+            improved = False
+            swap, swap_d = None, current
+            for pos, m in enumerate(design):
+                base = info - parts[m]
+                for c in range(n):
+                    if not with_replacement and c in design:
+                        continue
+                    d = loop_d(base + parts[c], k)
+                    if d < swap_d:
+                        swap, swap_d = (pos, c), d
+            if swap is not None and swap_d < current:
+                pos, c = swap
+                info = info - parts[design[pos]] + parts[c]
+                design[pos] = c
+                current = swap_d
+                improved = True
+
+        if current < best_d or best_idx is None:
+            best_d, best_idx = current, list(design)
+    return finish(best_idx)
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except (ValueError, NotIdentifiedError) as exc:
+        return type(exc)
+
+
+_exit_rows = st.tuples(st.integers(0, 3), st.sampled_from((0.0, 1.5, 4.0)),
+                       st.integers(0, 1), st.integers(0, 1))
+
+
+@st.composite
+def search_problems(draw):
+    n_alts = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(_exit_rows, min_size=n_alts,
+                                  max_size=n_alts),
+                         min_size=1, max_size=9))
+    candidates = [Scenario(id=i + 1, alternatives=tuple(
+        (label, ExitAttributes(*row)) for label, row in zip("ABC", alts)))
+        for i, alts in enumerate(rows)]
+    attrs = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1,
+                          max_size=3, unique=True))
+    spec = ModelSpec.from_attributes(*attrs)
+    priors = draw(st.lists(st.floats(-1.0, 1.0), min_size=spec.n_params,
+                           max_size=spec.n_params))
+    kwargs = dict(seed=draw(st.integers(0, 2**32 - 1)),
+                  iterations=draw(st.integers(1, 3)),
+                  with_replacement=draw(st.booleans()))
+    size = draw(st.integers(1, len(candidates) + 1))
+    return candidates, size, spec, priors, kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_problems())
+def test_search_equals_loop_search(problem):
+    candidates, size, spec, priors, kwargs = problem
+    got = _outcome(search_design, candidates, size, spec, priors, **kwargs)
+    want = _outcome(loop_search, candidates, size, spec, priors, **kwargs)
+    if isinstance(want, type):
+        assert got is want
+        return
+    indices, d = want
+    assert [s.id - 1 for s in got.scenarios] == indices
+    assert got.d_error == d
+
+
+def test_search_equals_loop_search_with_ties_and_replacement():
+    # duplicated candidates make ties; the loop's tie-break must hold
+    rng = np.random.default_rng(61)
+    spec = ModelSpec((("np", False), ("dist", False), ("smoke", False)))
+    priors = [0.1, -0.2, -0.5]
+    candidates = random_candidates(7, rng, n_alts=3)
+    candidates = [Scenario(id=i + 1, alternatives=s.alternatives)
+                  for i, s in enumerate(candidates + candidates)]
+    for seed in range(4):
+        for replace in (False, True):
+            got = search_design(candidates, 5, spec, priors, seed=seed,
+                                iterations=3, with_replacement=replace)
+            indices, d = loop_search(candidates, 5, spec, priors, seed=seed,
+                                     iterations=3, with_replacement=replace)
+            assert [s.id - 1 for s in got.scenarios] == indices
+            assert got.d_error == d
+
+
+def test_search_all_singular_step_picks_lowest_free_candidate():
+    # K = 3 with two alternatives: every design of fewer than three
+    # scenarios is singular, so the first greedy steps score every candidate
+    # +inf and must take the lowest index not yet in the design
+    spec = ModelSpec((("np", False), ("dist", False), ("smoke", False)))
+    priors = [0.1, -0.2, -0.5]
+    candidates = random_candidates(6, np.random.default_rng(71))
+    assert np.random.default_rng(11).integers(6) == 0  # start at candidate 0
+    got = search_design(candidates, 4, spec, priors, seed=11, iterations=1)
+    indices, d = loop_search(candidates, 4, spec, priors, seed=11,
+                             iterations=1)
+    assert [s.id - 1 for s in got.scenarios] == indices
+    assert len(set(indices)) == 4
+    assert got.d_error == d
+
+
+def test_d_errors_stack_equals_per_matrix_rule():
+    rng = np.random.default_rng(67)
+    k = 4
+    mats = [np.zeros((k, k))]
+    # singular: rank k - 1
+    a = rng.normal(size=(k - 1, k))
+    mats.append(a.T @ a)
+    # near-singular on both sides of the relative threshold
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    for ratio in (0.5e-10, 0.999e-10, 1.001e-10, 2e-10, 1e-8):
+        mats.append(q @ np.diag([ratio, 0.3, 0.7, 1.0]) @ q.T)
+    # exactly at the threshold (diagonal eigenvalues come back exact)
+    mats.append(np.diag([_RANK_RTOL, 0.3, 0.7, 1.0]))
+    mats.append(np.diag([2 * _RANK_RTOL, 0.6, 1.4, 2.0]))
+    for _ in range(200):
+        a = rng.normal(size=(rng.integers(1, 2 * k), k))
+        mats.append(a.T @ a)
+    stack = np.stack(mats)
+    got = _d_errors(stack, k)
+    want = [loop_d(m, k) for m in mats]
+    assert got.tolist() == want
+    assert math.isinf(got[0]) and math.isinf(got[1])
+    assert math.isinf(got[7]) and math.isinf(got[8])
+    assert all(_d_errors(m[None], k)[0] == w for m, w in zip(mats, want))
+
+
+def test_d_error_returns_python_float():
+    spec = ModelSpec((("smoke", False),))
+    scenario = two_exit_scenario(1, (0, 0, 1, 0), (0, 0, 0, 0))
+    assert type(d_error([scenario], spec, [0.0])) is float

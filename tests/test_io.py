@@ -83,6 +83,17 @@ def test_choice_csv_malformed_value_cites_line(tmp_path):
         io.read_choice_csv(path)
 
 
+@pytest.mark.parametrize("cells", ["nan,6", "0,inf", "-inf,6", "0,NaN"])
+def test_choice_csv_non_finite_attribute_cites_line(tmp_path, cells):
+    path = tmp_path / "bad.csv"
+    rows = [",".join(io.CHOICE_HEADER),
+            "1,p1,s1,A,0,6,0,1,1,0",
+            f"1,p1,s1,B,{cells},1,0,0,0"]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(io.DataFileError, match="line 3: .*must be finite"):
+        io.read_choice_csv(path)
+
+
 def test_choice_csv_inconsistent_first_choice_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     rows = [",".join(io.CHOICE_HEADER),
@@ -127,6 +138,19 @@ def test_scenario_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[-1].startswith("# d_error=")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_scenario_csv_non_finite_attribute_cites_line(tmp_path, bad):
+    path = tmp_path / "scenarios.csv"
+    io.write_scenarios_csv(path, ref.EXPERIMENT_SCENARIOS[:2])
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2] = bad  # dist_m of exit A in the second scenario
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(io.DataFileError, match="line 3: dist must be finite"):
+        io.read_scenarios_csv(path)
+
+
 def test_scenario_csv_unknown_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("scenario_id,width_A\n1,2\n")
@@ -161,6 +185,25 @@ def test_params_csv_estimate_only(tmp_path):
     path.write_text("name,estimate\nnp,0.233\ndist,-0.439\n")
     params = io.read_params_csv(path)
     assert params == {"np": (0.233, None), "dist": (-0.439, None)}
+
+
+@pytest.mark.parametrize("se", ["nan", "-0.2", "0", "0.0", "inf"])
+def test_params_csv_bad_std_error_cites_line(tmp_path, se):
+    path = tmp_path / "params.csv"
+    path.write_text(f"name,estimate,std_error\nnp,0.04,0.01\n"
+                    f"np:first,0.19,{se}\n")
+    with pytest.raises(io.DataFileError,
+                       match="line 3: std_error of 'np:first' must be finite"):
+        io.read_params_csv(path)
+
+
+@pytest.mark.parametrize("est", ["nan", "inf", "-inf"])
+def test_params_csv_non_finite_estimate_cites_line(tmp_path, est):
+    path = tmp_path / "params.csv"
+    path.write_text(f"name,estimate\nnp,{est}\n")
+    with pytest.raises(io.DataFileError,
+                       match="line 2: estimate of 'np' must be finite"):
+        io.read_params_csv(path)
 
 
 def test_params_csv_duplicate_name_rejected(tmp_path):
