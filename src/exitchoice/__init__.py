@@ -3,8 +3,8 @@
 Submodules
 ----------
 core
-    Domain types (exit attributes, scenarios, observations, model specs)
-    and the utility/probability math.
+    Domain types, the utility/probability math and the grouped choice-set
+    kernel that estimation and design share.
 estimation
     Maximum-likelihood fitting with analytic derivatives and inference
     statistics.
@@ -29,8 +29,7 @@ from .estimation import (InferenceRow, ModelFit, NotIdentifiedError,
                          SeparationWarning, fit_mnl, gradient, hessian,
                          inference_table, log_likelihood, two_sided_p)
 from .simulation import (SensitivityConfig, effective_coefficients,
-                         generate_dataset, sample_choice,
-                         sample_choice_gumbel, sensitivity_curve)
+                         generate_dataset, sensitivity_curve)
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,7 @@ __all__ = [
     "SeparationWarning", "as_params", "choice_probabilities", "d_error",
     "effective_coefficients", "fisher_information", "fit_mnl",
     "full_factorial", "generate_dataset", "gradient", "hessian",
-    "inference_table", "log_likelihood", "sample_choice",
-    "sample_choice_gumbel", "search_design", "sensitivity_curve", "softmax",
+    "inference_table", "log_likelihood", "search_design",
+    "sensitivity_curve", "softmax",
     "systematic_utility", "two_sided_p", "utilities",
 ]

@@ -48,7 +48,7 @@ def cmd_estimate(args) -> int:
     max_iter = (args.max_iter if args.max_iter is not None
                 else options.get("max_iter", 100))
 
-    fit = fit_mnl(data, spec, tol=float(tol), max_iter=int(max_iter))
+    fit = fit_mnl(data, spec, tol=tol, max_iter=max_iter)
     if not fit.converged:
         print(f"error: no convergence in {fit.iterations} iterations "
               f"(gradient norm {fit.gradient_norm:.3e})", file=sys.stderr)
@@ -75,9 +75,9 @@ def cmd_design(args) -> int:
 
     candidates = full_factorial(levels)
     result = search_design(
-        candidates, int(size), spec, priors, seed=int(seed),
-        iterations=int(options.get("iterations", 10)),
-        with_replacement=bool(options.get("with_replacement", False)))
+        candidates, size, spec, priors, seed=seed,
+        iterations=options.get("iterations", 10),
+        with_replacement=options.get("with_replacement", False))
     print(f"searched {len(candidates)} candidate scenarios; "
           f"selected {len(result.scenarios)} with d-error "
           f"{result.d_error:.6f}")

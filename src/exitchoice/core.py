@@ -251,3 +251,96 @@ def choice_probabilities(spec: ModelSpec, params, scenario: Scenario,
     utilities of any practical magnitude cannot overflow.
     """
     return softmax(utilities(spec, params, scenario, c1))
+
+
+class _ChoiceSets:
+    """Distinct choice sets as padded arrays: the one MNL kernel.
+
+    ``X`` (G, J, K) holds the design rows of G distinct (scenario, c1) sets,
+    padded with zero rows up to the largest set size J, and ``D`` the same
+    rows differenced against each set's first alternative; ``avail`` (G, J)
+    marks the real alternatives and ``counts`` (G, J) how often each was
+    chosen.  The log-likelihood and its derivatives depend on the data only
+    through these counts, and a design's Fisher information is the Hessian
+    formula with one respondent per set.  An attribute that never varies
+    within a set contributes an exactly zero score and information; padded
+    slots, whose probability is zero, contribute exact zeros.
+    """
+
+    __slots__ = ("X", "D", "avail", "counts")
+
+    def __init__(self, sets: Sequence[tuple], spec: ModelSpec):
+        j_max = max(scenario.n_alternatives for scenario, _ in sets)
+        self.X = np.zeros((len(sets), j_max, spec.n_params))
+        self.avail = np.zeros((len(sets), j_max), dtype=bool)
+        for g, (scenario, c1) in enumerate(sets):
+            rows = spec.design_matrix(scenario, c1)
+            self.X[g, :len(rows)] = rows
+            self.avail[g, :len(rows)] = True
+        self.D = self.X - self.X[:, :1]
+        self.counts = np.zeros(self.avail.shape)
+
+    @classmethod
+    def from_observations(cls, data: Sequence[ChoiceObservation],
+                          spec: ModelSpec) -> "_ChoiceSets":
+        """Group observations by (scenario, c1) and count their choices."""
+        if not data:
+            raise ValueError("no observations: the dataset is empty")
+        index: dict = {}
+        groups = [index.setdefault((obs.scenario, obs.first_choice),
+                                   len(index)) for obs in data]
+        sets = cls(list(index), spec)
+        np.add.at(sets.counts, (groups, [obs.chosen for obs in data]), 1.0)
+        return sets
+
+    @classmethod
+    def from_scenarios(cls, scenarios: Sequence[Scenario], spec: ModelSpec,
+                       c1: int) -> "_ChoiceSets":
+        """One respondent per scenario, all with first-choice flag ``c1``,
+        counted on the first alternative (information ignores the choice)."""
+        sets = cls([(s, c1) for s in scenarios], spec)
+        sets.counts[:, 0] = 1.0
+        return sets
+
+    def probabilities(self, beta: np.ndarray) -> np.ndarray:
+        """Choice probabilities per set, zero on padded slots."""
+        v = np.where(self.avail, self.X @ beta, -np.inf)
+        e = np.exp(v - v.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def log_likelihood(self, beta: np.ndarray) -> float:
+        """sum_g sum_j n_gj ln P_gj."""
+        v = self.X @ beta
+        v_masked = np.where(self.avail, v, -np.inf)
+        m = v_masked.max(axis=1)
+        lse = np.log(np.exp(v_masked - m[:, None]).sum(axis=1)) + m
+        return float(np.sum(self.counts * (v - lse[:, None])))
+
+    def information(self, beta: np.ndarray) -> np.ndarray:
+        """Fisher information of one respondent per set, shape (G, K, K)."""
+        return self._information(self.probabilities(beta))
+
+    def _information(self, p: np.ndarray) -> np.ndarray:
+        dbar = (p[:, None, :] @ self.D)[:, 0]
+        info = np.einsum("gj,gjk,gjl->gkl", p, self.D, self.D)
+        # Row by row and pair by pair: the values of whole-array expressions
+        # without their two (G, K, K) temporaries (peak memory of a search).
+        for k in range(info.shape[1]):
+            info[:, k] -= dbar[:, k, None] * dbar
+        for k, l in zip(*np.triu_indices(info.shape[1], 1)):
+            info[:, k, l] = info[:, l, k] = (info[:, k, l]
+                                             + info[:, l, k]) / 2.0
+        return info
+
+    def score_hessian(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Analytic gradient and Hessian of the log-likelihood.
+
+        With n_g respondents in set g, the score is
+        sum_gj (n_gj - n_g P_gj) D_gj and the Hessian -sum_g n_g I_g.  Every
+        information I_g is exactly symmetric and the sum reduces each entry
+        in the same order, so the Hessian is too.
+        """
+        p = self.probabilities(beta)
+        n = self.counts.sum(axis=1)
+        grad = np.einsum("gj,gjk->k", self.counts - n[:, None] * p, self.D)
+        return grad, -np.einsum("g,gkl->kl", n, self._information(p))

@@ -8,8 +8,9 @@ construction from a seeded random start followed by best-improvement pairwise
 swaps, restarted several times, which is exact on small instances (checked
 against exhaustive enumeration in the tests).
 
-Information is additive over scenarios, so the search precomputes one K x K
-contribution per candidate into an (n, K, K) array and scores subsets by
+Information is additive over scenarios, so the search computes one K x K
+contribution per candidate with the estimator's kernel (``core._ChoiceSets``,
+one respondent per scenario) into an (n, K, K) array and scores subsets by
 summing contributions.  Each step of the search is a batched scan: the
 partial design's information is added to every candidate's contribution, in
 blocks of ``_BLOCK`` candidates, and each block's D-errors come from one
@@ -31,7 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ATTRIBUTES, ExitAttributes, ModelSpec, Scenario, as_params, softmax
+from .core import (ATTRIBUTES, ExitAttributes, ModelSpec, Scenario,
+                   _ChoiceSets, as_params)
 from .estimation import NotIdentifiedError
 
 #: Relative eigenvalue threshold below which an information matrix is
@@ -118,22 +120,6 @@ def full_factorial(levels: FactorLevels) -> list[Scenario]:
     return scenarios
 
 
-def _scenario_information(scenario: Scenario, spec: ModelSpec,
-                          beta: np.ndarray, c1: int) -> np.ndarray:
-    """One scenario's Fisher contribution at the priors.
-
-    Rows are differenced against the first alternative before weighting, so
-    a scenario with no attribute variation contributes an exactly zero
-    matrix (information is translation-invariant within a choice set).
-    """
-    rows = spec.design_matrix(scenario, c1)
-    p = softmax(rows @ beta)
-    diff = rows - rows[0]
-    dbar = p @ diff
-    info = np.einsum("j,jk,jl->kl", p, diff, diff) - np.outer(dbar, dbar)
-    return (info + info.T) / 2.0
-
-
 def fisher_information(design: Sequence[Scenario], spec: ModelSpec,
                        priors, c1: int = 0) -> np.ndarray:
     """Fisher information of a design at prior coefficients.
@@ -145,9 +131,8 @@ def fisher_information(design: Sequence[Scenario], spec: ModelSpec,
     beta = as_params(spec, priors)
     if not design:
         raise ValueError("design is empty")
-    parts = np.stack([_scenario_information(s, spec, beta, c1)
-                      for s in design])
-    return parts.sum(axis=0)
+    return _ChoiceSets.from_scenarios(design, spec, c1).information(
+        beta).sum(axis=0)
 
 
 def _d_errors(infos: np.ndarray, k: int) -> np.ndarray:
@@ -207,9 +192,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
     if size > n:
         raise ValueError(f"size {size} exceeds candidate count {n}")
     k = spec.n_params
-    parts = np.empty((n, k, k))
-    for i, scenario in enumerate(candidates):
-        parts[i] = _scenario_information(scenario, spec, beta, c1)
+    parts = _ChoiceSets.from_scenarios(candidates, spec, c1).information(beta)
     scratch = np.empty((min(n, _BLOCK), k, k))
 
     def scan(base: np.ndarray) -> np.ndarray:

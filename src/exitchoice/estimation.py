@@ -2,15 +2,13 @@
 
 The log-likelihood is globally concave in the coefficients (linear utilities),
 so a Newton-Raphson iteration with a step-halving line search converges from
-any start; a quasi-Newton (BFGS) direction is kept as a fallback for the rare
-case where the Hessian solve fails.  Standard errors come from the inverse of
-the negative Hessian at the optimum (classical MLE covariance), z-values are
-estimate/SE and p-values are two-sided standard-normal tails.
-
-Derivative notes: the per-observation score is computed from attribute
-differences against the chosen alternative, so an attribute that never varies
-within a choice set contributes an exactly zero gradient component.  The
-Hessian uses the same differences, which keeps it exactly symmetric.
+any start.  While every probability is positive the Hessian's null space does
+not depend on the coefficients, so a Hessian that cannot be solved means a
+coefficient is not identified.  Observations are grouped into distinct
+(scenario, first-choice flag) sets with choice counts (``core._ChoiceSets``),
+so an iteration costs O(sets), not O(observations).  Standard errors come
+from the inverse negative Hessian at the optimum (classical MLE covariance),
+z-values are estimate/SE and p-values are two-sided standard-normal tails.
 """
 
 from __future__ import annotations
@@ -22,15 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ChoiceObservation, ModelSpec, as_params
+from .core import ChoiceObservation, ModelSpec, _ChoiceSets, as_params
 
 #: Iteration is aborted with a SeparationWarning once any |beta_j| passes this.
 SEPARATION_THRESHOLD = 50.0
 
+#: Relative resolution of a computed log-likelihood: a Newton step whose
+#: predicted gain is below this times |LL| is taken without a line search.
+_LL_RTOL = 1e-12
+
 
 class NotIdentifiedError(RuntimeError):
-    """Raised when the information matrix is singular at the optimum, i.e.
-    some coefficient is not identified by the data."""
+    """Raised when the information matrix is singular, i.e. some coefficient
+    is not identified by the data."""
 
 
 class SeparationWarning(UserWarning):
@@ -67,88 +69,18 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-# ---------------------------------------------------------------------------
-# Data compilation: observation lists -> padded arrays
-# ---------------------------------------------------------------------------
-
-class _Compiled:
-    """Design rows, availability mask and chosen indices as dense arrays.
-
-    Choice sets may differ in size; shorter ones are padded with zero rows
-    masked out of every probability and derivative computation.
-    """
-
-    __slots__ = ("X", "avail", "chosen", "n_obs", "n_params")
-
-    def __init__(self, data: Sequence[ChoiceObservation], spec: ModelSpec):
-        if not data:
-            raise ValueError("no observations: the dataset is empty")
-        n, k = len(data), spec.n_params
-        j_max = max(obs.scenario.n_alternatives for obs in data)
-        X = np.zeros((n, j_max, k))
-        avail = np.zeros((n, j_max), dtype=bool)
-        chosen = np.zeros(n, dtype=int)
-        cache: dict = {}
-        for i, obs in enumerate(data):
-            key = (obs.scenario, obs.first_choice)
-            rows = cache.get(key)
-            if rows is None:
-                rows = spec.design_matrix(obs.scenario, obs.first_choice)
-                cache[key] = rows
-            j = rows.shape[0]
-            X[i, :j] = rows
-            avail[i, :j] = True
-            chosen[i] = obs.chosen
-        self.X, self.avail, self.chosen = X, avail, chosen
-        self.n_obs, self.n_params = n, k
-
-    def probabilities(self, beta: np.ndarray) -> np.ndarray:
-        """Choice probabilities per observation, zero on padded slots."""
-        v = np.einsum("njk,k->nj", self.X, beta)
-        v = np.where(self.avail, v, -np.inf)
-        m = v.max(axis=1, keepdims=True)
-        e = np.exp(v - m)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def log_likelihood(self, beta: np.ndarray) -> float:
-        v = np.einsum("njk,k->nj", self.X, beta)
-        v_masked = np.where(self.avail, v, -np.inf)
-        m = v_masked.max(axis=1)
-        lse = np.log(np.exp(v_masked - m[:, None]).sum(axis=1)) + m
-        v_chosen = np.take_along_axis(v, self.chosen[:, None], axis=1)[:, 0]
-        return float(np.sum(v_chosen - lse))
-
-    def score_hessian(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Analytic gradient and Hessian of the log-likelihood.
-
-        Uses rows differenced against the chosen alternative: the score is
-        sum_n sum_i P_ni (x_chosen - x_i) and the Hessian is the negated
-        probability-weighted covariance of the same differences.
-        """
-        p = self.probabilities(beta)
-        x_chosen = np.take_along_axis(
-            self.X, self.chosen[:, None, None], axis=1)
-        diff = x_chosen - self.X            # zero on padded slots times p=0
-        grad = np.einsum("nj,njk->k", p, diff)
-        dbar = np.einsum("nj,njk->nk", p, diff)
-        hess = -(np.einsum("nj,njk,njl->kl", p, diff, diff)
-                 - np.einsum("nk,nl->kl", dbar, dbar))
-        hess = (hess + hess.T) / 2.0        # contraction order leaves ~ulp skew
-        return grad, hess
-
-
 def log_likelihood(data: Sequence[ChoiceObservation], spec: ModelSpec,
                    params) -> float:
     """Log-likelihood sum_n ln P_n,chosen(n); always <= 0."""
     beta = as_params(spec, params)
-    return _Compiled(data, spec).log_likelihood(beta)
+    return _ChoiceSets.from_observations(data, spec).log_likelihood(beta)
 
 
 def gradient(data: Sequence[ChoiceObservation], spec: ModelSpec,
              params) -> np.ndarray:
     """Analytic score vector of the log-likelihood, length K."""
     beta = as_params(spec, params)
-    return _Compiled(data, spec).score_hessian(beta)[0]
+    return _ChoiceSets.from_observations(data, spec).score_hessian(beta)[0]
 
 
 def hessian(data: Sequence[ChoiceObservation], spec: ModelSpec,
@@ -159,12 +91,13 @@ def hessian(data: Sequence[ChoiceObservation], spec: ModelSpec,
     with linear utilities is globally concave.
     """
     beta = as_params(spec, params)
-    return _Compiled(data, spec).score_hessian(beta)[1]
+    return _ChoiceSets.from_observations(data, spec).score_hessian(beta)[1]
 
 
-def _non_identified_names(neg_hess: np.ndarray, spec: ModelSpec) -> list[str]:
-    """Coefficients loading on (near-)null eigenvectors of the information."""
-    eigval, eigvec = np.linalg.eigh(neg_hess)
+def _not_identified(info: np.ndarray, spec: ModelSpec) -> NotIdentifiedError:
+    """The error for a singular information matrix, naming the coefficients
+    that load on its (near-)null eigenvectors."""
+    eigval, eigvec = np.linalg.eigh(info)
     cutoff = max(eigval.max(), 0.0) * 1e-10
     names = spec.coef_names()
     flagged: list[str] = []
@@ -174,7 +107,9 @@ def _non_identified_names(neg_hess: np.ndarray, spec: ModelSpec) -> list[str]:
             for i in np.nonzero(weights > 0.1 * weights.max())[0]:
                 if names[i] not in flagged:
                     flagged.append(names[i])
-    return flagged
+    return NotIdentifiedError(
+        "singular Hessian; coefficient(s) not identified by the data: "
+        f"{', '.join(flagged) or 'unknown'}")
 
 
 def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
@@ -197,14 +132,14 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
     -------
     ModelFit
         With ``vcov`` equal to the inverse negative Hessian at the optimum.
-        The accepted log-likelihood never decreases across iterations
-        (step-halving line search).
+        The accepted log-likelihood never decreases across iterations by
+        more than its rounding (step-halving line search).
 
     Raises
     ------
     NotIdentifiedError
-        If the negative Hessian is singular at the converged optimum; the
-        message names the offending coefficients.
+        If the negative Hessian is singular at an iterate or at the
+        converged optimum; the message names the offending coefficients.
 
     Warns
     -----
@@ -215,48 +150,39 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    compiled = _Compiled(data, spec)
+    sets = _ChoiceSets.from_observations(data, spec)
     k = spec.n_params
     beta = np.zeros(k) if init is None else as_params(spec, init).copy()
 
-    ll = compiled.log_likelihood(beta)
-    grad, hess = compiled.score_hessian(beta)
-    b_inv = np.eye(k)                     # quasi-Newton fallback state
+    ll = sets.log_likelihood(beta)
+    grad, hess = sets.score_hessian(beta)
     iterations = 0
-    converged = bool(np.max(np.abs(grad)) <= tol)
 
-    while not converged and iterations < max_iter:
+    while iterations < max_iter and np.max(np.abs(grad)) > tol:
         iterations += 1
         try:
             direction = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            direction = b_inv @ grad      # secant (BFGS) fallback direction
+        except np.linalg.LinAlgError:   # singular here is singular anywhere
+            raise _not_identified(-hess, spec) from None
         if grad @ direction <= 0.0:       # guard: keep an ascent direction
-            direction = b_inv @ grad
+            direction = grad
 
-        # Step-halving line search: never accept a lower log-likelihood.
+        # Step-halving line search: never accept a lower log-likelihood,
+        # unless a full step's predicted gain is below the rounding of the
+        # log-likelihood, where comparing the two values is noise.
+        flat = grad @ direction <= _LL_RTOL * abs(ll)
         step, ll_new = 1.0, -np.inf
         for _ in range(40):
-            ll_new = compiled.log_likelihood(beta + step * direction)
-            if ll_new >= ll:
+            ll_new = sets.log_likelihood(beta + step * direction)
+            if ll_new >= ll or flat:
                 break
             step *= 0.5
         else:
             break                         # numerical floor, no usable step
 
-        beta_new = beta + step * direction
-        grad_new, hess_new = compiled.score_hessian(beta_new)
-
-        # BFGS update of the inverse negative-Hessian approximation.
-        s = beta_new - beta
-        y = grad - grad_new               # change in -gradient of -LL
-        sy = s @ y
-        if sy > 1e-12:
-            rho = 1.0 / sy
-            v = np.eye(k) - rho * np.outer(s, y)
-            b_inv = v @ b_inv @ v.T + rho * np.outer(s, s)
-
-        beta, ll, grad, hess = beta_new, ll_new, grad_new, hess_new
+        beta = beta + step * direction
+        ll = ll_new
+        grad, hess = sets.score_hessian(beta)
 
         if np.max(np.abs(beta)) > SEPARATION_THRESHOLD:
             warnings.warn(
@@ -264,7 +190,6 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
                 f"{SEPARATION_THRESHOLD:g}); data may be perfectly separated",
                 SeparationWarning)
             break
-        converged = bool(np.max(np.abs(grad)) <= tol)
 
     gradient_norm = float(np.max(np.abs(grad)))
     converged = gradient_norm <= tol
@@ -275,16 +200,13 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         if converged:
-            bad = _non_identified_names(-hess, spec)
-            raise NotIdentifiedError(
-                "singular Hessian at the optimum; coefficient(s) not "
-                f"identified by the data: {', '.join(bad) or 'unknown'}")
+            raise _not_identified(-hess, spec) from None
         vcov = np.full((k, k), np.nan)
 
     return ModelFit(spec=spec, estimates=beta, vcov=vcov,
                     log_likelihood=ll, converged=converged,
                     iterations=iterations, gradient_norm=gradient_norm,
-                    n_obs=compiled.n_obs)
+                    n_obs=len(data))
 
 
 def inference_table(fit: ModelFit) -> list[InferenceRow]:

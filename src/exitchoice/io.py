@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -325,6 +326,32 @@ def _check_keys(mapping, allowed, context) -> None:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(unknown)}")
 
 
+#: How a checked config value of each Python type is described in errors.
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _checked(value, key: str, kind: type):
+    """``value`` if it is a JSON ``kind``: true/false, an integer (not 3.0)
+    or a finite number for bool, int or float.  A bool is never a number."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, kind))
+              and abs(value) <= sys.float_info.max)
+    if not ok:
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _options(cfg, section: str, kinds: dict) -> dict:
+    """An optional config section; its keys and their kinds are ``kinds``."""
+    options = cfg.get(section, {})
+    _check_keys(options, kinds, section)
+    for key, value in options.items():
+        _checked(value, f"{section}.{key}", kinds[key])
+    return options
+
+
 def load_config(path) -> dict:
     """Load and structurally validate a run config."""
     with open(path) as fh:
@@ -351,7 +378,9 @@ def model_from_config(cfg) -> ModelSpec:
         _check_keys(term, {"attr", "first_choice"}, f"model.terms[{i}]")
         if "attr" not in term:
             raise ConfigError(f"model.terms[{i}]: missing \"attr\"")
-        terms.append((term["attr"], bool(term.get("first_choice", False))))
+        terms.append((term["attr"], _checked(
+            term.get("first_choice", False), f"model.terms[{i}].first_choice",
+            bool)))
     try:
         return ModelSpec(tuple(terms))
     except ValueError as exc:
@@ -381,20 +410,18 @@ def priors_from_config(cfg, spec: ModelSpec) -> np.ndarray:
     missing = [n for n in names if n not in priors]
     if missing:
         raise ConfigError(f"priors: missing value(s) for {', '.join(missing)}")
-    return np.array([float(priors[n]) for n in names])
+    return np.array([_checked(priors[n], f"priors.{n}", float)
+                     for n in names], dtype=float)
 
 
 def design_options(cfg) -> dict:
-    options = cfg.get("design", {})
-    _check_keys(options, {"size", "seed", "iterations", "with_replacement"},
-                "design")
-    return options
+    return _options(cfg, "design", {"size": int, "seed": int,
+                                    "iterations": int,
+                                    "with_replacement": bool})
 
 
 def estimate_options(cfg) -> dict:
-    options = cfg.get("estimate", {})
-    _check_keys(options, {"tol", "max_iter"}, "estimate")
-    return options
+    return _options(cfg, "estimate", {"tol": float, "max_iter": int})
 
 
 def sweeps_from_config(cfg) -> list[tuple[str, SensitivityConfig]]:

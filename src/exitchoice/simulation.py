@@ -33,32 +33,6 @@ RULES = ("base", "sum", "significant")
 FAMILIARITY = ("A", "B", "both")
 
 
-def sample_choice(probabilities, rng: np.random.Generator) -> int:
-    """Draw one alternative index from a categorical distribution.
-
-    ``probabilities`` must be nonnegative and sum to 1 within 1e-9.
-    Deterministic given the generator state.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size < 1 or np.any(p < 0) or np.any(~np.isfinite(p)):
-        raise ValueError("malformed probability vector")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, p.size - 1)
-
-
-def sample_choice_gumbel(utilities, rng: np.random.Generator) -> int:
-    """Cross-check sampler: argmax of utilities plus i.i.d. Gumbel noise.
-
-    Distributionally equivalent to categorical sampling from the logit
-    probabilities; kept as an independent oracle for tests.
-    """
-    v = np.asarray(utilities, dtype=float)
-    return int(np.argmax(v + rng.gumbel(size=v.size)))
-
-
 def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
                      n_per_scenario: int, c1_pattern: float = 0.25,
                      seed: int = 0) -> list[ChoiceObservation]:

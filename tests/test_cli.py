@@ -235,3 +235,45 @@ def test_config_with_unknown_key_exit_2(tmp_path, params2):
     config.write_text(json.dumps({"version": 1, "bogus": True}))
     assert main(["sensitivity", "--params", params2,
                  "--config", str(config)]) == 2
+
+
+def small_design_config(tmp_path, priors, design):
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": "np"}, {"attr": "smoke"}]},
+        "levels": {
+            "A": {"np": [0, 5], "dist": [4.0], "smoke": [0, 1], "fam": [1]},
+            "B": {"np": [0, 5], "dist": [2.0], "smoke": [0, 1], "fam": [0]},
+        },
+        "priors": priors, "design": design}))
+    return str(config)
+
+
+@pytest.mark.parametrize("priors, design, key", [
+    ({"np": float("nan"), "smoke": -1.0}, {"size": 3}, "priors.np"),
+    ({"np": [1], "smoke": -1.0}, {"size": 3}, "priors.np"),
+    ({"np": None, "smoke": -1.0}, {"size": 3}, "priors.np"),
+    ({"np": 0.1, "smoke": -1.0}, {"size": [3]}, "design.size"),
+    ({"np": 0.1, "smoke": -1.0}, {"size": 3, "with_replacement": "false"},
+     "design.with_replacement"),
+])
+def test_design_bad_config_value_exit_2(tmp_path, capsys, priors, design,
+                                        key):
+    code = main(["design", "--config",
+                 small_design_config(tmp_path, priors, design)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_estimate_string_flag_in_config_exit_2(tmp_path, params2,
+                                               scenarios_csv, capsys):
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--params", params2, "--scenarios", scenarios_csv,
+                 "--n", "5", "--out", str(sim)]) == 0
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": "np", "first_choice": "false"}]}}))
+    assert main(["estimate", "--data", str(sim), "--config", str(config)]) == 2
+    assert "model.terms[0].first_choice" in capsys.readouterr().err

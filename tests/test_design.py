@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         FactorLevels, ModelSpec, NotIdentifiedError, Scenario,
-                        d_error, fisher_information, full_factorial, hessian,
-                        search_design)
+                        choice_probabilities, d_error, fisher_information,
+                        full_factorial, hessian, search_design, softmax)
 from exitchoice import reference as ref
-from exitchoice.design import _RANK_RTOL, _d_errors, _scenario_information
+from exitchoice.core import _ChoiceSets
+from exitchoice.design import _RANK_RTOL, _d_errors
 
 POOLED_PRIORS = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -267,6 +268,62 @@ def test_efficient_design_d_error_recomputable():
 # ---------------------------------------------------------------------------
 # batched search against the per-candidate loop
 # ---------------------------------------------------------------------------
+
+def _scenario_information(scenario, spec, beta, c1):
+    """Reference: one scenario's Fisher contribution at the priors.
+
+    Rows are differenced against the first alternative before weighting, so
+    a scenario with no attribute variation contributes an exactly zero
+    matrix.  The grouped kernel must reproduce it bitwise.
+    """
+    rows = spec.design_matrix(scenario, c1)
+    p = softmax(rows @ beta)
+    diff = rows - rows[0]
+    dbar = p @ diff
+    info = np.einsum("j,jk,jl->kl", p, diff, diff) - np.outer(dbar, dbar)
+    return (info + info.T) / 2.0
+
+
+@pytest.mark.parametrize("spec, priors, c1", [
+    (ref.POOLED_SPEC, POOLED_PRIORS, 0),
+    (ref.FIRST_CHOICE_SPEC, ref.estimates_vector(
+        ref.FIRST_CHOICE_SPEC, ref.FIRST_CHOICE_ESTIMATES), 1),
+])
+def test_kernel_information_equals_scenario_reference_bitwise(spec, priors,
+                                                              c1):
+    candidates = full_factorial(ref.EXPERIMENT_LEVELS)
+    beta = np.asarray(priors, dtype=float)
+    sets = _ChoiceSets.from_scenarios(candidates, spec, c1)
+    info = sets.information(beta)
+    want = np.stack([_scenario_information(s, spec, beta, c1)
+                     for s in candidates])
+    assert info.shape == (2048, spec.n_params, spec.n_params)
+    np.testing.assert_array_equal(info, want)
+    np.testing.assert_array_equal(
+        sets.probabilities(beta),
+        np.stack([choice_probabilities(spec, beta, s, c1)
+                  for s in candidates]))
+
+
+def test_kernel_information_mixed_set_sizes_bitwise():
+    # random specs and priors over 2- and 3-alternative sets in one kernel;
+    # padded slots add exact zeros
+    rng = np.random.default_rng(5)
+    universe = full_factorial(ref.EXPERIMENT_LEVELS)[::9]
+    two_exit = [Scenario(id=s.id, alternatives=s.alternatives[:2])
+                for s in universe[::2]]
+    candidates = universe + two_exit
+    candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+    for _ in range(12):
+        attrs = rng.permutation(ATTRIBUTES)[:rng.integers(1, 5)]
+        spec = ModelSpec(tuple((a, bool(rng.integers(2))) for a in attrs))
+        beta = rng.normal(0, 1.0, spec.n_params)
+        for c1 in (0, 1):
+            sets = _ChoiceSets.from_scenarios(candidates, spec, c1)
+            want = np.stack([_scenario_information(s, spec, beta, c1)
+                             for s in candidates])
+            np.testing.assert_array_equal(sets.information(beta), want)
+
 
 def loop_d(info, k):
     """Per-matrix D-error rule: det(I)^(-1/K), +inf if singular."""

@@ -4,15 +4,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
-                        NotIdentifiedError, Scenario, SeparationWarning,
-                        fit_mnl, generate_dataset, gradient, hessian,
-                        inference_table, log_likelihood, two_sided_p)
+from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
+                        ModelSpec, NotIdentifiedError, Scenario,
+                        SeparationWarning, fit_mnl, generate_dataset,
+                        gradient, hessian, inference_table, log_likelihood,
+                        two_sided_p)
 from exitchoice import reference as ref
+from exitchoice.core import _ChoiceSets
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))
+
+
+class _Compiled:
+    """Ungrouped reference: one padded row block per observation.
+
+    Rows are differenced against the chosen alternative.  The grouped
+    kernel in ``core._ChoiceSets`` must agree with it within rounding.
+    """
+
+    def __init__(self, data, spec):
+        if not data:
+            raise ValueError("no observations: the dataset is empty")
+        n, k = len(data), spec.n_params
+        j_max = max(obs.scenario.n_alternatives for obs in data)
+        self.X = np.zeros((n, j_max, k))
+        self.avail = np.zeros((n, j_max), dtype=bool)
+        self.chosen = np.zeros(n, dtype=int)
+        for i, obs in enumerate(data):
+            rows = spec.design_matrix(obs.scenario, obs.first_choice)
+            self.X[i, :len(rows)] = rows
+            self.avail[i, :len(rows)] = True
+            self.chosen[i] = obs.chosen
+
+    def probabilities(self, beta):
+        v = np.einsum("njk,k->nj", self.X, beta)
+        v = np.where(self.avail, v, -np.inf)
+        e = np.exp(v - v.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def log_likelihood(self, beta):
+        v = np.einsum("njk,k->nj", self.X, beta)
+        v_masked = np.where(self.avail, v, -np.inf)
+        m = v_masked.max(axis=1)
+        lse = np.log(np.exp(v_masked - m[:, None]).sum(axis=1)) + m
+        v_chosen = np.take_along_axis(v, self.chosen[:, None], axis=1)[:, 0]
+        return float(np.sum(v_chosen - lse))
+
+    def score_hessian(self, beta):
+        p = self.probabilities(beta)
+        x_chosen = np.take_along_axis(
+            self.X, self.chosen[:, None, None], axis=1)
+        diff = x_chosen - self.X
+        grad = np.einsum("nj,njk->k", p, diff)
+        dbar = np.einsum("nj,njk->nk", p, diff)
+        hess = -(np.einsum("nj,njk,njl->kl", p, diff, diff)
+                 - np.einsum("nk,nl->kl", dbar, dbar))
+        return grad, (hess + hess.T) / 2.0
+
+
+def assert_close(got, want):
+    """|got - want| <= 1e-10 * max(1, |want|), elementwise."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 def small_dataset(seed=0, n=25):
@@ -157,6 +214,100 @@ def test_concavity_along_random_lines():
                   for t in ts]
         second = np.diff(values, 2)
         assert np.all(second <= 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# grouped kernel against the ungrouped reference
+# ---------------------------------------------------------------------------
+
+_exit_rows = st.tuples(st.integers(0, 8), st.sampled_from((0.0, 1.5, 6.5)),
+                       st.integers(0, 1), st.integers(0, 1))
+
+
+@st.composite
+def choice_problems(draw):
+    """Mixed 2- and 3-alternative sets, mixed c1, repeated observations."""
+    scenarios = []
+    for i in range(draw(st.integers(1, 5))):
+        rows = draw(st.lists(_exit_rows, min_size=2, max_size=3))
+        scenarios.append(Scenario(id=i, alternatives=tuple(
+            (label, ExitAttributes(*row)) for label, row in zip("ABC", rows))))
+    picks = draw(st.lists(st.tuples(st.sampled_from(scenarios),
+                                    st.integers(0, 2), st.integers(0, 1),
+                                    st.integers(1, 3)),
+                          min_size=1, max_size=12))
+    data = [ChoiceObservation(participant_id=f"p{i}", scenario=s,
+                              chosen=c % s.n_alternatives, first_choice=f)
+            for i, (s, c, f, copies) in enumerate(picks)
+            for _ in range(copies)]
+    attrs = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1,
+                          max_size=4, unique=True))
+    spec = ModelSpec(tuple((a, draw(st.booleans())) for a in attrs))
+    beta = np.array(draw(st.lists(st.floats(-2.0, 2.0),
+                                  min_size=spec.n_params,
+                                  max_size=spec.n_params)))
+    return data, spec, beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(choice_problems())
+def test_grouped_kernel_equals_ungrouped_reference(problem):
+    data, spec, beta = problem
+    oracle = _Compiled(data, spec)
+    grad, hess = oracle.score_hessian(beta)
+    assert_close(log_likelihood(data, spec, beta),
+                 oracle.log_likelihood(beta))
+    assert_close(gradient(data, spec, beta), grad)
+    got = hessian(data, spec, beta)
+    assert_close(got, hess)
+    np.testing.assert_array_equal(got, got.T)
+    sets = _ChoiceSets.from_observations(data, spec)
+    assert sets.counts.sum() == len(data)
+    assert len(sets.counts) == len({(o.scenario, o.first_choice)
+                                    for o in data})
+
+
+@settings(max_examples=100, deadline=None)
+@given(choice_problems(), st.randoms(use_true_random=False))
+def test_loglik_invariant_under_observation_permutation(problem, rnd):
+    data, spec, beta = problem
+    shuffled = list(data)
+    rnd.shuffle(shuffled)
+    assert math.isclose(log_likelihood(shuffled, spec, beta),
+                        log_likelihood(data, spec, beta),
+                        rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_fit_equals_ungrouped_reference_fit(seed, monkeypatch):
+    # the pipeline's data: 8 scenarios x 6250 respondents, 16 groups
+    data = generate_dataset(SPEC2, TRUTH2, ref.EXPERIMENT_SCENARIOS,
+                            n_per_scenario=6250, c1_pattern=0.25, seed=seed)
+    fit = fit_mnl(data, SPEC2)
+    # the same Newton iteration, on the ungrouped oracle
+    monkeypatch.setattr(_ChoiceSets, "from_observations",
+                        staticmethod(_Compiled))
+    want = fit_mnl(data, SPEC2)
+    assert fit.converged and want.converged
+    np.testing.assert_allclose(fit.estimates, want.estimates, rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(np.sqrt(np.diag(fit.vcov)),
+                               np.sqrt(np.diag(want.vcov)), rtol=0,
+                               atol=1e-10)
+    assert fit.log_likelihood == pytest.approx(want.log_likelihood,
+                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [20, 25])
+def test_fit_does_not_stall_on_flat_log_likelihood(seed):
+    # near the optimum the log-likelihood is flat to the last bit; rounding
+    # in it or in a 50,000-term gradient must not make step halving stall
+    # the fit while the gradient is still just above tol
+    data = generate_dataset(SPEC2, TRUTH2, ref.EXPERIMENT_SCENARIOS,
+                            n_per_scenario=6250, c1_pattern=0.25, seed=seed)
+    fit = fit_mnl(data, SPEC2)
+    assert fit.converged
+    assert fit.iterations <= 7
 
 
 # ---------------------------------------------------------------------------

@@ -305,3 +305,50 @@ def test_config_sweep_rejects_fam_in_exit(tmp_path):
                   "fixed_exit": {"fam": 1}}}))
     with pytest.raises(io.ConfigError, match="unknown key"):
         io.sweeps_from_config(cfg)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [1], None,
+                                   True, "0.1", 10 ** 400])
+def test_config_prior_must_be_finite_number(tmp_path, value):
+    cfg = io.load_config(write_config(tmp_path, {
+        "version": 1, "model": {"terms": [{"attr": "np"}]},
+        "priors": {"np": value}}))
+    with pytest.raises(io.ConfigError, match=r"priors\.np"):
+        io.priors_from_config(cfg, io.model_from_config(cfg))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("design", "size", [3]), ("design", "size", 3.0), ("design", "size", "3"),
+    ("design", "seed", 1.5), ("design", "seed", True),
+    ("design", "iterations", None),
+    ("design", "with_replacement", "false"), ("design", "with_replacement", 0),
+    ("estimate", "tol", float("nan")), ("estimate", "tol", True),
+    ("estimate", "tol", "1e-6"), ("estimate", "max_iter", 10.0),
+])
+def test_config_option_types(tmp_path, section, key, value):
+    cfg = io.load_config(write_config(tmp_path, {
+        "version": 1, section: {key: value}}))
+    options = io.design_options if section == "design" else io.estimate_options
+    with pytest.raises(io.ConfigError, match=rf"{section}\.{key}"):
+        options(cfg)
+
+
+def test_config_valid_options_pass_through(tmp_path):
+    cfg = io.load_config(write_config(tmp_path, {
+        "version": 1,
+        "design": {"size": 8, "seed": 3, "iterations": 2,
+                   "with_replacement": True},
+        "estimate": {"tol": 1, "max_iter": 50}}))
+    assert io.design_options(cfg) == cfg["design"]
+    assert io.estimate_options(cfg) == cfg["estimate"]
+
+
+@pytest.mark.parametrize("flag", ["false", 1, None])
+def test_config_first_choice_must_be_boolean(tmp_path, flag):
+    cfg = io.load_config(write_config(tmp_path, {
+        "version": 1,
+        "model": {"terms": [{"attr": "np"},
+                            {"attr": "dist", "first_choice": flag}]}}))
+    with pytest.raises(io.ConfigError,
+                       match=r"model\.terms\[1\]\.first_choice"):
+        io.model_from_config(cfg)

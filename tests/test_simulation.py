@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from exitchoice import (SensitivityConfig, choice_probabilities,
+from exitchoice import (ExitAttributes, ModelSpec, Scenario,
+                        SensitivityConfig, choice_probabilities,
                         effective_coefficients, fit_mnl, generate_dataset,
-                        sample_choice, sample_choice_gumbel,
-                        sensitivity_curve)
+                        sensitivity_curve, utilities)
 from exitchoice import reference as ref
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
@@ -20,49 +20,40 @@ TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))
 # sampling
 # ---------------------------------------------------------------------------
 
-def test_sample_choice_degenerate_distribution():
-    rng = np.random.default_rng(0)
-    assert all(sample_choice([1.0, 0.0, 0.0], rng) == 0 for _ in range(200))
+def gumbel_choice(v, rng):
+    """Oracle sampler: argmax of utilities plus i.i.d. Gumbel noise."""
+    return int(np.argmax(v + rng.gumbel(size=v.size)))
 
 
-def test_sample_choice_concentration():
-    rng = np.random.default_rng(1)
-    draws = np.array([sample_choice([0.5, 0.5], rng) for _ in range(100_000)])
-    share = np.mean(draws == 0)
-    assert abs(share - 0.5) < 0.01
-
-
-def test_sample_choice_rejects_malformed_vectors():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError, match="sum"):
-        sample_choice([0.5, 0.2], rng)
-    with pytest.raises(ValueError, match="malformed"):
-        sample_choice([1.5, -0.5], rng)
-    with pytest.raises(ValueError, match="malformed"):
-        sample_choice([[0.5, 0.5]], rng)
-
-
-def test_sample_choice_deterministic_given_state():
-    a = [sample_choice([0.3, 0.3, 0.4], np.random.default_rng(5))
-         for _ in range(1)]
-    b = [sample_choice([0.3, 0.3, 0.4], np.random.default_rng(5))
-         for _ in range(1)]
-    assert a == b
+def test_generate_dataset_degenerate_distribution():
+    # a utility gap of 1000 gives probabilities of exactly 1 and 0; the
+    # zero-probability exits are never drawn, wherever they sit
+    spec = ModelSpec((("dist", False),))
+    near = ExitAttributes(np=0, dist=0.0, smoke=0, fam=0)
+    far = ExitAttributes(np=0, dist=100.0, smoke=0, fam=0)
+    for j in range(3):
+        alternatives = tuple((label, near if i == j else far)
+                             for i, label in enumerate("ABC"))
+        scenario = Scenario(id=j, alternatives=alternatives)
+        assert choice_probabilities(spec, [-10.0], scenario)[j] == 1.0
+        data = generate_dataset(spec, [-10.0], [scenario], 200, seed=j)
+        assert all(obs.chosen == j for obs in data)
 
 
 def test_gumbel_argmax_matches_categorical_distribution():
     # EV1 perturbation of utilities defines the same choice distribution as
-    # the logit probabilities; chi-square GOF on 100k draws per sampler
-    rng = np.random.default_rng(8)
+    # the logit probabilities; chi-square GOF on 100k draws of the Gumbel
+    # oracle and of generate_dataset's categorical sampler
     scenario = ref.EXPERIMENT_SCENARIOS[0]
     beta = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
     p = choice_probabilities(ref.POOLED_SPEC, beta, scenario)
-    v = np.log(p)  # utilities reproducing p, up to a constant
+    v = utilities(ref.POOLED_SPEC, beta, scenario)
     n = 100_000
+    rng = np.random.default_rng(8)
     gumbel_counts = np.bincount(
-        [sample_choice_gumbel(v, rng) for _ in range(n)], minlength=3)
-    cat_counts = np.bincount(
-        [sample_choice(p, rng) for _ in range(n)], minlength=3)
+        [gumbel_choice(v, rng) for _ in range(n)], minlength=3)
+    data = generate_dataset(ref.POOLED_SPEC, beta, [scenario], n, seed=8)
+    cat_counts = np.bincount([obs.chosen for obs in data], minlength=3)
     for counts in (gumbel_counts, cat_counts):
         res = stats.chisquare(counts, f_exp=n * p)
         assert res.pvalue > 0.001
