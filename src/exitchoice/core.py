@@ -16,6 +16,8 @@ that is active only when ``c1 = 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +25,12 @@ import numpy as np
 #: Registry of known exit attributes, in canonical order.  Extend here if a
 #: new attribute is added to :class:`ExitAttributes`.
 ATTRIBUTES = ("np", "dist", "smoke", "fam")
+
+#: The registry attributes of an ``ExitAttributes``, as a tuple.
+_attribute_values = attrgetter(*ATTRIBUTES)
+_second = itemgetter(1)
+#: The attribute row of a padded slot in ``_ChoiceSets``.
+_NO_ATTRIBUTES = (0.0,) * len(ATTRIBUTES)
 
 #: Suffix used to label first-choice interaction coefficients, e.g. "np:first".
 FIRST_SUFFIX = ":first"
@@ -66,12 +74,6 @@ class ExitAttributes:
             raise ValueError(f"dist must be finite and >= 0, got {self.dist}")
         _check_binary(self.smoke, "smoke")
         _check_binary(self.fam, "fam")
-
-    def value(self, attribute: str) -> float:
-        """Return the value of a registry attribute by name."""
-        if attribute not in ATTRIBUTES:
-            raise ValueError(f"unknown attribute {attribute!r}")
-        return float(getattr(self, attribute))
 
 
 @dataclass(frozen=True)
@@ -189,18 +191,35 @@ class ModelSpec:
     def design_row(self, exit: ExitAttributes, c1: int = 0) -> np.ndarray:
         """Expanded attribute row x such that V = x @ params."""
         _check_binary(c1, "c1")
-        row = []
-        for attr, flag in self.terms:
-            x = exit.value(attr)
-            row.append(x)
-            if flag:
-                row.append(c1 * x)
-        return np.array(row, dtype=float)
+        return self._expand(np.array(_attribute_values(exit), dtype=float),
+                            c1)
 
     def design_matrix(self, scenario: Scenario, c1: int = 0) -> np.ndarray:
         """Stacked design rows for all alternatives, shape (J, K)."""
-        return np.stack([self.design_row(attrs, c1)
-                         for _, attrs in scenario.alternatives])
+        _check_binary(c1, "c1")
+        return self._expand(np.array(
+            [_attribute_values(attrs) for _, attrs in scenario.alternatives],
+            dtype=float), c1)
+
+    def _expand(self, attrs: np.ndarray, c1) -> np.ndarray:
+        """Coefficient columns from attribute columns.
+
+        ``attrs`` (..., len(ATTRIBUTES)) holds attribute values in registry
+        order and ``c1`` broadcasts against ``attrs[..., 0]``.  A base
+        column copies its attribute and an interaction column is
+        ``c1 * attribute``, so every entry is the attribute or a 0/1
+        product of it.
+        """
+        X = np.empty(attrs.shape[:-1] + (self.n_params,))
+        k = 0
+        for attr, flag in self.terms:
+            x = attrs[..., ATTRIBUTES.index(attr)]
+            X[..., k] = x
+            k += 1
+            if flag:
+                X[..., k] = c1 * x
+                k += 1
+        return X
 
 
 def as_params(spec: ModelSpec, values: Iterable[float]) -> np.ndarray:
@@ -265,18 +284,33 @@ class _ChoiceSets:
     formula with one respondent per set.  An attribute that never varies
     within a set contributes an exactly zero score and information; padded
     slots, whose probability is zero, contribute exact zeros.
+
+    The build reads every alternative's attributes in one ``np.fromiter``
+    pass into a (G, J, len(ATTRIBUTES)) array, zero on padded slots, and
+    expands it column by column with ``ModelSpec._expand``, the rule
+    ``design_matrix`` uses, so ``X`` is bitwise the stacked design
+    matrices.
     """
 
     __slots__ = ("X", "D", "avail", "counts")
 
     def __init__(self, sets: Sequence[tuple], spec: ModelSpec):
-        j_max = max(scenario.n_alternatives for scenario, _ in sets)
-        self.X = np.zeros((len(sets), j_max, spec.n_params))
-        self.avail = np.zeros((len(sets), j_max), dtype=bool)
-        for g, (scenario, c1) in enumerate(sets):
-            rows = spec.design_matrix(scenario, c1)
-            self.X[g, :len(rows)] = rows
-            self.avail[g, :len(rows)] = True
+        sizes = np.fromiter((len(s.alternatives) for s, _ in sets),
+                            dtype=np.intp, count=len(sets))
+        j_max = int(sizes.max())
+        self.avail = np.arange(j_max) < sizes[:, None]
+        # Each set's attribute rows, then zero rows up to J.  Their array is
+        # only an argument of _expand, so it is freed before D is allocated
+        # (peak memory of a fit).
+        rows = chain.from_iterable(
+            chain(map(_attribute_values, map(_second, s.alternatives)),
+                  repeat(_NO_ATTRIBUTES, j_max - len(s.alternatives)))
+            for s, _ in sets)
+        c1 = np.fromiter((c1 for _, c1 in sets), dtype=float,
+                         count=len(sets))[:, None]
+        self.X = spec._expand(np.fromiter(
+            rows, dtype=(float, len(ATTRIBUTES)),
+            count=len(sets) * j_max).reshape(len(sets), j_max, -1), c1)
         self.D = self.X - self.X[:, :1]
         self.counts = np.zeros(self.avail.shape)
 
@@ -298,6 +332,7 @@ class _ChoiceSets:
                        c1: int) -> "_ChoiceSets":
         """One respondent per scenario, all with first-choice flag ``c1``,
         counted on the first alternative (information ignores the choice)."""
+        _check_binary(c1, "c1")
         sets = cls([(s, c1) for s in scenarios], spec)
         sets.counts[:, 0] = 1.0
         return sets

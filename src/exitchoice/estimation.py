@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -124,9 +125,10 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
         Starting coefficients; defaults to zeros (global concavity makes the
         start immaterial to the optimum reached).
     tol : float
-        Convergence tolerance on the gradient infinity-norm.
+        Convergence tolerance on the gradient infinity-norm; finite and > 0.
     max_iter : int
-        Iteration cap; a fit that hits it is returned with converged=False.
+        Iteration cap, an integer >= 1; a fit that hits it is returned with
+        converged=False.
 
     Returns
     -------
@@ -137,6 +139,8 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
 
     Raises
     ------
+    ValueError
+        If ``tol`` or ``max_iter`` is out of range.
     NotIdentifiedError
         If the negative Hessian is singular at an iterate or at the
         converged optimum; the message names the offending coefficients.
@@ -148,8 +152,10 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
         during iteration (perfect separation makes the MLE diverge); the
         fit is returned unconverged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     sets = _ChoiceSets.from_observations(data, spec)
     k = spec.n_params
     beta = np.zeros(k) if init is None else as_params(spec, init).copy()

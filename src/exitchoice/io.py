@@ -327,14 +327,16 @@ def _check_keys(mapping, allowed, context) -> None:
 
 
 #: How a checked config value of each Python type is described in errors.
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string"}
 
 
 def _checked(value, key: str, kind: type):
-    """``value`` if it is a JSON ``kind``: true/false, an integer (not 3.0)
-    or a finite number for bool, int or float.  A bool is never a number."""
-    if kind is bool:
-        ok = isinstance(value, bool)
+    """``value`` if it is a JSON ``kind``: true/false, an integer (not 3.0),
+    a finite number or a string for bool, int, float or str.  A bool is
+    never a number."""
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
     else:
         ok = (not isinstance(value, bool) and isinstance(value, (int, kind))
               and abs(value) <= sys.float_info.max)
@@ -395,6 +397,13 @@ def levels_from_config(cfg) -> FactorLevels:
         raise ConfigError("levels: expected an object of exits")
     for label, per_attr in levels.items():
         _check_keys(per_attr, ATTRIBUTES, f"levels.{label}")
+        for attr, values in per_attr.items():
+            key = f"levels.{label}.{attr}"
+            if not isinstance(values, list):
+                raise ConfigError(
+                    f"{key} must be a list of numbers, got {values!r}")
+            for i, value in enumerate(values):
+                _checked(value, f"{key}[{i}]", float)
     try:
         return FactorLevels(levels=levels)
     except ValueError as exc:
@@ -435,12 +444,26 @@ def sweeps_from_config(cfg) -> list[tuple[str, SensitivityConfig]]:
     for key in ("attribute", "start", "stop", "step"):
         if key not in sweep:
             raise ConfigError(f"sweep: missing \"{key}\"")
+    kinds = {"attribute": str, "start": float, "stop": float, "step": float,
+             "rule": str, "alpha": float}
+    for key, kind in kinds.items():
+        if key in sweep:
+            _checked(sweep[key], f"sweep.{key}", kind)
     exit_attrs = set(ATTRIBUTES) - {"fam"}
     for side in ("swept_exit", "fixed_exit"):
-        _check_keys(sweep.get(side, {}), exit_attrs, f"sweep.{side}")
+        values = sweep.get(side, {})
+        _check_keys(values, exit_attrs, f"sweep.{side}")
+        for attr, value in values.items():
+            _checked(value, f"sweep.{side}.{attr}", float)
     familiarity = sweep.get("familiarity", "both")
-    conditions = [familiarity] if isinstance(familiarity, str) \
-        else list(familiarity)
+    if isinstance(familiarity, str):
+        conditions = [familiarity]
+    elif isinstance(familiarity, list):
+        conditions = [_checked(c, f"sweep.familiarity[{i}]", str)
+                      for i, c in enumerate(familiarity)]
+    else:
+        raise ConfigError("sweep.familiarity must be a string or a list of "
+                          f"strings, got {familiarity!r}")
     configs = []
     for condition in conditions:
         try:

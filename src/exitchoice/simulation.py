@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (FIRST_SUFFIX, ChoiceObservation, ModelSpec, Scenario,
-                   as_params, choice_probabilities)
+                   _ChoiceSets, as_params)
 from .estimation import two_sided_p
 
 RULES = ("base", "sum", "significant")
@@ -43,6 +43,15 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
     choices and draw from the c1=1 probabilities.  Output order is canonical
     (scenario order, then replicate order) and the whole dataset is
     deterministic given ``seed``.  Participant ids are synthetic.
+
+    The uniforms come from one ``rng.random((len(scenarios),
+    n_per_scenario))`` call, scenario-major: the same PCG64 stream, in the
+    same order, as one ``rng.random(n_per_scenario)`` call per scenario.
+    Respondent r of scenario s chooses the number of cumulative
+    probabilities of its set that are <= its uniform (``searchsorted`` with
+    ``side="right"``), capped at the last alternative.  The probabilities
+    of each c1 value that has draws come from one ``_ChoiceSets`` over all
+    scenarios and equal ``choice_probabilities`` bitwise.
     """
     if n_per_scenario < 1:
         raise ValueError("n_per_scenario must be >= 1")
@@ -50,20 +59,27 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
         raise ValueError("c1_pattern must be a fraction in [0, 1]")
     beta = as_params(spec, params)
     rng = np.random.default_rng(seed)
+    if not scenarios:
+        return []
+    draws = rng.random((len(scenarios), n_per_scenario))
     n_first = int(round(c1_pattern * n_per_scenario))
+    chosen = np.empty(draws.shape, dtype=np.intp)
+    for c1, lo, hi in ((1, 0, n_first), (0, n_first, n_per_scenario)):
+        if lo == hi:
+            continue
+        sets = _ChoiceSets.from_scenarios(scenarios, spec, c1)
+        cum = np.cumsum(sets.probabilities(beta), axis=1)
+        chosen[:, lo:hi] = np.count_nonzero(
+            cum[:, None, :] <= draws[:, lo:hi, None], axis=2)
+    last = sets.avail.sum(axis=1) - 1
+    chosen = np.minimum(chosen, last[:, None]).tolist()
+
     data: list[ChoiceObservation] = []
-    for scenario in scenarios:
-        cum = {c1: np.cumsum(choice_probabilities(spec, beta, scenario, c1))
-               for c1 in (1, 0)}
-        draws = rng.random(n_per_scenario)
-        for r in range(n_per_scenario):
-            c1 = 1 if r < n_first else 0
-            idx = int(np.searchsorted(cum[c1], draws[r], side="right"))
+    for scenario, picks in zip(scenarios, chosen):
+        for r, pick in enumerate(picks):
             data.append(ChoiceObservation(
-                participant_id=f"sim{len(data) + 1:06d}",
-                scenario=scenario,
-                chosen=min(idx, scenario.n_alternatives - 1),
-                first_choice=c1))
+                participant_id=f"sim{len(data) + 1:06d}", scenario=scenario,
+                chosen=pick, first_choice=1 if r < n_first else 0))
     return data
 
 

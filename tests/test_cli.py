@@ -230,6 +230,16 @@ def test_sensitivity_unknown_sweep_attribute_exit_2(tmp_path, params2):
     assert code == 2
 
 
+def test_sensitivity_null_sweep_value_exit_2(tmp_path, params2, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "sweep": {"attribute": "np", "start": 0, "stop": None, "step": 1}}))
+    assert main(["sensitivity", "--params", params2,
+                 "--config", str(config)]) == 2
+    assert "sweep.stop" in capsys.readouterr().err
+
+
 def test_config_with_unknown_key_exit_2(tmp_path, params2):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"version": 1, "bogus": True}))
@@ -264,6 +274,38 @@ def test_design_bad_config_value_exit_2(tmp_path, capsys, priors, design,
                  small_design_config(tmp_path, priors, design)])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_design_non_numeric_level_exit_2(tmp_path, capsys):
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": "np"}]},
+        "levels": {
+            "A": {"np": [0, None], "dist": [4.0], "smoke": [0], "fam": [1]},
+            "B": {"np": [0], "dist": [2.0], "smoke": [0], "fam": [0]},
+        },
+        "priors": {"np": 0.1},
+        "design": {"size": 2}}))
+    assert main(["design", "--config", str(config)]) == 2
+    assert "levels.A.np[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, options, named", [
+    (["--tol", "nan"], {}, "tol"), (["--tol", "inf"], {}, "tol"),
+    (["--tol", "0"], {}, "tol"), (["--max-iter", "-5"], {}, "max_iter"),
+    (["--max-iter", "0"], {}, "max_iter"), ([], {"max_iter": 0}, "max_iter"),
+])
+def test_estimate_bad_tol_or_max_iter_exit_2(tmp_path, params2, scenarios_csv,
+                                             capsys, flags, options, named):
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--params", params2, "--scenarios", scenarios_csv,
+                 "--n", "5", "--out", str(sim)]) == 0
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"version": 1, "estimate": options}))
+    assert main(["estimate", "--data", str(sim), "--config", str(config),
+                 *flags]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_estimate_string_flag_in_config_exit_2(tmp_path, params2,

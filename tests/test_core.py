@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
-                        Scenario, as_params, choice_probabilities, softmax,
-                        systematic_utility, utilities)
+from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
+                        ModelSpec, Scenario, as_params, choice_probabilities,
+                        softmax, systematic_utility, utilities)
 from exitchoice import reference as ref
+from exitchoice.core import _ChoiceSets
 
 POOLED_BETA = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -219,3 +222,79 @@ def test_utilities_vector_matches_scalar():
     for j, (_, attrs) in enumerate(scenario.alternatives):
         assert v[j] == pytest.approx(
             systematic_utility(ref.POOLED_SPEC, beta, attrs), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# design rows: the column expansion against the per-alternative reference
+# ---------------------------------------------------------------------------
+
+def loop_design_row(spec, exit, c1=0):
+    """Reference: the expanded row built one attribute at a time."""
+    row = []
+    for attr, flag in spec.terms:
+        x = float(getattr(exit, attr))
+        row.append(x)
+        if flag:
+            row.append(c1 * x)
+    return np.array(row, dtype=float)
+
+
+_exit_rows = st.tuples(st.integers(0, 10) | st.floats(0.0, 20.0),
+                       st.floats(0.0, 50.0), st.integers(0, 1),
+                       st.integers(0, 1))
+
+
+@st.composite
+def design_problems(draw):
+    """A random spec and mixed 2- and 3-alternative sets with mixed c1."""
+    attrs = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1,
+                          max_size=4, unique=True))
+    spec = ModelSpec(tuple((a, draw(st.booleans())) for a in attrs))
+    sets = []
+    for i in range(draw(st.integers(1, 6))):
+        rows = draw(st.lists(_exit_rows, min_size=2, max_size=3))
+        sets.append((make_scenario(rows, sid=i), draw(st.integers(0, 1))))
+    return spec, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_problems())
+def test_design_rows_equal_loop_reference_bitwise(problem):
+    spec, sets = problem
+    for scenario, c1 in sets:
+        want = np.stack([loop_design_row(spec, attrs, c1)
+                         for _, attrs in scenario.alternatives])
+        got = spec.design_matrix(scenario, c1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for row, (_, attrs) in zip(want, scenario.alternatives):
+            assert spec.design_row(attrs, c1).tobytes() == row.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_problems())
+def test_choice_sets_tensor_equals_stacked_design_matrices(problem):
+    # padded slots are zero rows and unavailable; c1 = 1 sets carry their
+    # interaction columns
+    spec, sets = problem
+    kernel = _ChoiceSets(sets, spec)
+    j_max = max(s.n_alternatives for s, _ in sets)
+    want = np.zeros((len(sets), j_max, spec.n_params))
+    for g, (scenario, c1) in enumerate(sets):
+        want[g, :scenario.n_alternatives] = spec.design_matrix(scenario, c1)
+    assert kernel.X.tobytes() == want.tobytes()
+    assert kernel.X.shape == want.shape
+    np.testing.assert_array_equal(
+        kernel.avail, [[j < s.n_alternatives for j in range(j_max)]
+                       for s, _ in sets])
+    assert kernel.D.tobytes() == (want - want[:, :1]).tobytes()
+
+
+def test_design_rows_reject_non_binary_c1():
+    scenario = ref.EXPERIMENT_SCENARIOS[0]
+    _, exit_a = scenario.alternatives[0]
+    for call in (lambda: ref.FIRST_CHOICE_SPEC.design_row(exit_a, 2),
+                 lambda: ref.FIRST_CHOICE_SPEC.design_matrix(scenario, -1),
+                 lambda: _ChoiceSets.from_scenarios([scenario],
+                                                    ref.FIRST_CHOICE_SPEC, 2)):
+        with pytest.raises(ValueError, match="c1 must be 0 or 1"):
+            call()

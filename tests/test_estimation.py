@@ -378,6 +378,16 @@ def test_fit_nonconvergence_reported():
     assert fit.iterations == 1
 
 
+@pytest.mark.parametrize("option, value", [
+    ("tol", float("nan")), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-6),
+    ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5),
+    ("max_iter", float("nan")),
+])
+def test_fit_rejects_bad_tol_and_max_iter(option, value):
+    with pytest.raises(ValueError, match=option):
+        fit_mnl(small_dataset(), SPEC2, **{option: value})
+
+
 def test_separation_warning_on_perfectly_predictive_attribute():
     # the nearer exit is always chosen and the gap is small, so the distance
     # coefficient runs away; the divergence guard must stop the fit

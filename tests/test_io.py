@@ -2,10 +2,15 @@
 
 import json
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exitchoice import ModelSpec, generate_dataset
+from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
+                        Scenario, generate_dataset)
 from exitchoice import io
 from exitchoice import reference as ref
 
@@ -159,6 +164,70 @@ def test_scenario_csv_unknown_column_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV round trips for any valid data
+# ---------------------------------------------------------------------------
+
+_names = st.text(string.ascii_letters + string.digits + "_-. ", min_size=1,
+                 max_size=4)
+_amounts = (st.integers(0, 10 ** 6)
+            | st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+_exits = st.builds(ExitAttributes, np=_amounts, dist=_amounts,
+                   smoke=st.integers(0, 1), fam=st.integers(0, 1))
+
+
+@st.composite
+def scenario_lists(draw, same_labels):
+    """Scenarios with distinct labels; one shared label tuple on request
+    (the wide table needs it)."""
+    def labels():
+        return draw(st.lists(_names, min_size=2, max_size=4, unique=True))
+    shared = labels()
+    return [Scenario(id=draw(st.integers(0, 99) | _names), alternatives=tuple(
+                (label, draw(_exits))
+                for label in (shared if same_labels else labels())))
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def observation_lists(draw):
+    scenarios = draw(scenario_lists(same_labels=False))
+    return [ChoiceObservation(
+                participant_id=draw(_names), scenario=s,
+                chosen=draw(st.integers(0, s.n_alternatives - 1)),
+                first_choice=draw(st.integers(0, 1)))
+            for s in draw(st.lists(st.sampled_from(scenarios), min_size=1,
+                                   max_size=8))]
+
+
+def same_scenario(a, b):
+    """Equal up to the id's type: files carry ids as text."""
+    return str(a.id) == b.id and a.alternatives == b.alternatives
+
+
+@settings(max_examples=150, deadline=None)
+@given(observation_lists())
+def test_choice_csv_roundtrip_any_observations(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("roundtrip") / "choices.csv"
+    io.write_choice_csv(path, data)
+    back = io.read_choice_csv(path)
+    assert len(back) == len(data)
+    for a, b in zip(data, back):
+        assert same_scenario(a.scenario, b.scenario)
+        assert (a.participant_id, a.chosen, a.first_choice) == \
+               (b.participant_id, b.chosen, b.first_choice)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_lists(same_labels=True))
+def test_scenario_csv_roundtrip_any_scenarios(tmp_path_factory, scenarios):
+    path = tmp_path_factory.mktemp("roundtrip") / "scenarios.csv"
+    io.write_scenarios_csv(path, scenarios)
+    back = io.read_scenarios_csv(path)
+    assert len(back) == len(scenarios)
+    assert all(same_scenario(a, b) for a, b in zip(scenarios, back))
+
+
+# ---------------------------------------------------------------------------
 # coefficient tables
 # ---------------------------------------------------------------------------
 
@@ -286,6 +355,24 @@ def test_config_levels(tmp_path):
         io.levels_from_config(cfg)
 
 
+@pytest.mark.parametrize("values, key", [
+    ([0, None], r"levels\.A\.np\[1\]"), ([0, True], r"levels\.A\.np\[1\]"),
+    (["5"], r"levels\.A\.np\[0\]"), ([float("nan")], r"levels\.A\.np\[0\]"),
+    ([10 ** 400], r"levels\.A\.np\[0\]"), (5, r"levels\.A\.np"),
+    (None, r"levels\.A\.np"), ({"0": 1}, r"levels\.A\.np"),
+])
+def test_config_levels_must_be_lists_of_finite_numbers(tmp_path, values,
+                                                       key):
+    cfg = io.load_config(write_config(tmp_path, {
+        "version": 1,
+        "levels": {
+            "A": {"np": values, "dist": [4.0], "smoke": [0, 1], "fam": [1]},
+            "B": {"np": [0, 5], "dist": [2.0], "smoke": [0, 1], "fam": [0]},
+        }}))
+    with pytest.raises(io.ConfigError, match=key):
+        io.levels_from_config(cfg)
+
+
 def test_config_sweep_conditions(tmp_path):
     cfg = io.load_config(write_config(tmp_path, {
         "version": 1,
@@ -305,6 +392,29 @@ def test_config_sweep_rejects_fam_in_exit(tmp_path):
                   "fixed_exit": {"fam": 1}}}))
     with pytest.raises(io.ConfigError, match="unknown key"):
         io.sweeps_from_config(cfg)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("start", "0", "sweep.start"), ("stop", None, "sweep.stop"),
+    ("step", True, "sweep.step"), ("step", float("inf"), "sweep.step"),
+    ("alpha", float("nan"), "sweep.alpha"), ("alpha", [0.05], "sweep.alpha"),
+    ("attribute", ["np"], "sweep.attribute"), ("rule", 1, "sweep.rule"),
+    ("swept_exit", {"dist": None}, "sweep.swept_exit.dist"),
+    ("fixed_exit", {"np": "5"}, "sweep.fixed_exit.np"),
+    ("fixed_exit", {"smoke": False}, "sweep.fixed_exit.smoke"),
+    ("familiarity", 3, "sweep.familiarity"),
+    ("familiarity", {"A": 1}, "sweep.familiarity"),
+    ("familiarity", ["A", None], "sweep.familiarity[1]"),
+])
+def test_config_sweep_value_types(tmp_path, key, value, named):
+    sweep = {"attribute": "np", "start": 0, "stop": 10, "step": 0.5,
+             "fixed_exit": {"np": 5, "dist": 3.0, "smoke": 0}}
+    sweep[key] = value
+    cfg = io.load_config(write_config(tmp_path, {"version": 1,
+                                                 "sweep": sweep}))
+    with pytest.raises(io.ConfigError) as info:
+        io.sweeps_from_config(cfg)
+    assert named in str(info.value)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1], None,

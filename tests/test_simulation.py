@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from exitchoice import (ExitAttributes, ModelSpec, Scenario,
-                        SensitivityConfig, choice_probabilities,
-                        effective_coefficients, fit_mnl, generate_dataset,
-                        sensitivity_curve, utilities)
+from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
+                        ModelSpec, Scenario, SensitivityConfig,
+                        choice_probabilities, effective_coefficients,
+                        fit_mnl, generate_dataset, sensitivity_curve,
+                        utilities)
 from exitchoice import reference as ref
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
@@ -126,6 +129,108 @@ def test_roundtrip_recovery_within_five_percent():
         assert fit.converged
         rel = np.abs(fit.estimates - TRUTH2) / np.abs(TRUTH2)
         assert np.all(rel[big] <= 0.05), (seed, rel)
+
+
+def test_generate_dataset_empty_scenario_list():
+    assert generate_dataset(SPEC2, TRUTH2, [], 5, seed=0) == []
+
+
+# ---------------------------------------------------------------------------
+# batched sampler against the per-scenario reference
+# ---------------------------------------------------------------------------
+
+def loop_generate_dataset(spec, params, scenarios, n_per_scenario,
+                          c1_pattern=0.25, seed=0):
+    """Reference: one ``rng.random`` call and one search per scenario."""
+    beta = np.asarray(params, dtype=float)
+    rng = np.random.default_rng(seed)
+    n_first = int(round(c1_pattern * n_per_scenario))
+    data = []
+    for scenario in scenarios:
+        cum = {c1: np.cumsum(choice_probabilities(spec, beta, scenario, c1))
+               for c1 in (1, 0)}
+        draws = rng.random(n_per_scenario)
+        for r in range(n_per_scenario):
+            c1 = 1 if r < n_first else 0
+            idx = int(np.searchsorted(cum[c1], draws[r], side="right"))
+            data.append(ChoiceObservation(
+                participant_id=f"sim{len(data) + 1:06d}",
+                scenario=scenario,
+                chosen=min(idx, scenario.n_alternatives - 1),
+                first_choice=c1))
+    return data
+
+
+_exit_rows = st.tuples(st.integers(0, 10), st.floats(0.0, 8.0),
+                       st.integers(0, 1), st.integers(0, 1))
+
+
+@st.composite
+def sampling_problems(draw):
+    """Mixed 2- and 3-alternative scenarios, a random spec and beta."""
+    scenarios = []
+    for i in range(draw(st.integers(1, 6))):
+        rows = draw(st.lists(_exit_rows, min_size=2, max_size=3))
+        scenarios.append(Scenario(id=i, alternatives=tuple(
+            (label, ExitAttributes(*row)) for label, row in zip("ABC", rows))))
+    attrs = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1,
+                          max_size=4, unique=True))
+    spec = ModelSpec(tuple((a, draw(st.booleans())) for a in attrs))
+    beta = draw(st.lists(st.floats(-3.0, 3.0), min_size=spec.n_params,
+                         max_size=spec.n_params))
+    return (spec, beta, scenarios, draw(st.integers(1, 50)),
+            draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampling_problems())
+def test_batched_sampler_equals_loop_reference(problem):
+    spec, beta, scenarios, n, c1_pattern, seed = problem
+    got = generate_dataset(spec, beta, scenarios, n, c1_pattern, seed)
+    want = loop_generate_dataset(spec, beta, scenarios, n, c1_pattern, seed)
+    assert [(o.participant_id, o.chosen, o.first_choice) for o in got] == \
+           [(o.participant_id, o.chosen, o.first_choice) for o in want]
+    assert all(a.scenario is b.scenario for a, b in zip(got, want))
+
+
+class _FixedDraws:
+    """Stands in for a seeded generator: every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+def test_draw_above_rounded_total_picks_last_real_alternative(monkeypatch):
+    # the 2-exit set's cumulative probabilities end below 1 by rounding; a
+    # draw at or above that end picks its last exit, not a padded slot of
+    # the 3-exit set batched with it
+    spec = ModelSpec((("dist", False),))
+    short = Scenario(id=1, alternatives=(
+        ("A", ExitAttributes(np=0, dist=0.0, smoke=0, fam=0)),
+        ("B", ExitAttributes(np=0, dist=0.6, smoke=0, fam=0))))
+    wide = ref.EXPERIMENT_SCENARIOS[0]
+    assert np.cumsum(choice_probabilities(spec, [-1.0], short))[-1] < 1.0
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _FixedDraws(np.nextafter(1.0, 0.0)))
+    data = generate_dataset(spec, [-1.0], [short, wide], 3, seed=0)
+    assert [o.chosen for o in data] == [1, 1, 1, 2, 2, 2]
+    assert data == loop_generate_dataset(spec, [-1.0], [short, wide], 3)
+
+
+def test_draw_equal_to_cumulative_probability_goes_right(monkeypatch):
+    # identical exits split exactly in half; a draw of exactly 0.5 lies on
+    # the first cumulative probability and, as searchsorted(side="right")
+    # does, picks the second exit
+    same = ExitAttributes(np=2, dist=3.0, smoke=0, fam=1)
+    tie = Scenario(id=1, alternatives=(("A", same), ("B", same)))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _FixedDraws(0.5))
+    data = generate_dataset(ref.POOLED_SPEC, [0.1, -0.4, -1.7, 0.8], [tie],
+                            4, seed=0)
+    assert [o.chosen for o in data] == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
