@@ -84,7 +84,7 @@ def cmd_design(args) -> int:
     for s in result.scenarios:
         cells = ", ".join(
             f"{label}(np={attrs.np:g} dist={attrs.dist:g} "
-            f"smoke={attrs.smoke})" for label, attrs in s.alternatives)
+            f"smoke={attrs.smoke:g})" for label, attrs in s.alternatives)
         print(f"  scenario {s.id}: {cells}")
     out = args.out or cfg.get("out")
     if out:

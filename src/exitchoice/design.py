@@ -180,7 +180,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
     all restarts, so its D-error is <= that of every design visited during
     the search; scenarios come back sorted by candidate index with the
     D-error recomputed canonically from that ordering.  Deterministic given
-    ``seed``; ``iterations`` is the restart count.
+    ``seed``; ``iterations`` (>= 1) is the restart count.
 
     Raises NotIdentifiedError when every design examined is singular, i.e.
     the spec is not identifiable with a design of this size.
@@ -191,6 +191,8 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
         raise ValueError("size must be >= 1")
     if size > n:
         raise ValueError(f"size {size} exceeds candidate count {n}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     k = spec.n_params
     parts = _ChoiceSets.from_scenarios(candidates, spec, c1).information(beta)
     scratch = np.empty((min(n, _BLOCK), k, k))
@@ -222,7 +224,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
     best_d, best_idx = math.inf, None
     everything = np.arange(n)
 
-    for _ in range(max(1, iterations)):
+    for _ in range(iterations):
         design = [int(rng.integers(n))]
         info = parts[design[0]].copy()
 

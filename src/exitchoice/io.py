@@ -2,8 +2,10 @@
 tables and the JSON run config.
 
 All CSVs use dot-decimal numbers regardless of locale, LF line endings and
-full-precision floats (display rounding happens only in CLI printing).
-Footer metadata lines start with ``#`` and are skipped by every reader.
+full-precision floats (display rounding happens only in CLI printing).  One
+row reader and one row writer serve every table; a footer row is a single
+field starting with ``#``, skipped on read.  One codec reads and writes the
+``np, dist_m, smoke, fam`` cells of an exit, flags always as ``0``/``1``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,13 +40,74 @@ class ConfigError(ValueError):
     """A run config is malformed or carries unknown keys."""
 
 
+#: The cell of a 0/1 flag; ``True`` and ``1.0`` hash like ``1``.
+_FLAG_CELLS = {0: "0", 1: "1"}
+_FLAG_VALUES = {"0": 0, "1": 1}
+
+
 def _fmt(value) -> str:
     f = float(value)
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _fmt_float(value) -> str:
+    return repr(float(value))
+
+
+def _parse_binary(text: str, column: str) -> int:
+    if text not in _FLAG_VALUES:
+        raise ValueError(f"{column} must be 0 or 1, got {text!r}")
+    return _FLAG_VALUES[text]
+
+
+def _encode_exit(attrs: ExitAttributes) -> tuple[str, str, str, str]:
+    """The ``np, dist_m, smoke, fam`` cells of one exit."""
+    return (_fmt(attrs.np), _fmt(attrs.dist), _FLAG_CELLS[attrs.smoke],
+            _FLAG_CELLS[attrs.fam])
+
+
+def _decode_exit(cells: Sequence[str]) -> ExitAttributes:
+    """The exit written as ``np, dist_m, smoke, fam`` cells."""
+    return ExitAttributes(np=float(cells[0]), dist=float(cells[1]),
+                          smoke=_parse_binary(cells[2], "smoke"),
+                          fam=_parse_binary(cells[3], "fam"))
+
+
+def _read_rows(path, parser: Callable) -> Iterator:
+    """Yield the parsed data rows of a CSV table, one at a time.
+
+    ``parser(header)`` checks the header row (None for an empty file) and
+    returns the row parser.  Blank and footer rows are skipped, every other
+    row must have as many fields as the header, and a ValueError from the
+    row parser becomes a DataFileError citing the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        parse = parser(header)
+        width = len(header)
+        for line, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and row[0].startswith("#")):
+                continue
+            if len(row) != width:
+                raise DataFileError(
+                    f"line {line}: expected {width} fields, got {len(row)}")
+            try:
+                item = parse(row)
+            except ValueError as exc:
+                raise DataFileError(f"line {line}: {exc}") from exc
+            yield item
+
+
+def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence],
+                footer: str | None = None) -> None:
+    """Write a CSV table: the header, the rows and an optional ``# footer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        if footer is not None:
+            w.writerow((f"# {footer}",))
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +116,28 @@ def _writer(fh):
 
 def write_choice_csv(path, observations: Sequence[ChoiceObservation]) -> None:
     """Write observations as long-format rows, one per alternative."""
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(CHOICE_HEADER)
-        for i, obs in enumerate(observations):
-            for j, (label, attrs) in enumerate(obs.scenario.alternatives):
-                w.writerow((i + 1, obs.participant_id, obs.scenario.id, label,
-                            _fmt(attrs.np), _fmt(attrs.dist),
-                            attrs.smoke, attrs.fam,
-                            int(j == obs.chosen), obs.first_choice))
+    _write_rows(path, CHOICE_HEADER, (
+        (i + 1, obs.participant_id, obs.scenario.id, label,
+         *_encode_exit(attrs), int(j == obs.chosen),
+         _FLAG_CELLS[obs.first_choice])
+        for i, obs in enumerate(observations)
+        for j, (label, attrs) in enumerate(obs.scenario.alternatives)))
 
 
-def _parse_binary(text: str, column: str, line: int) -> int:
-    if text not in ("0", "1"):
-        raise DataFileError(f"line {line}: {column} must be 0 or 1, "
-                            f"got {text!r}")
-    return int(text)
+def _parse_choice_row(row: list[str]) -> tuple:
+    """``(obs_id, (participant, scenario_id, label, attrs, chosen, first))``"""
+    return row[0], (row[1], row[2], row[3], _decode_exit(row[4:8]),
+                    _parse_binary(row[8], "chosen"),
+                    _parse_binary(row[9], "first_choice"))
+
+
+def _choice_parser(header):
+    if header is None:
+        raise DataFileError("no observations: file is empty")
+    if tuple(header) != CHOICE_HEADER:
+        raise DataFileError(
+            f"bad header {header!r}; expected {','.join(CHOICE_HEADER)}")
+    return _parse_choice_row
 
 
 def read_choice_csv(path) -> list[ChoiceObservation]:
@@ -79,35 +148,8 @@ def read_choice_csv(path) -> list[ChoiceObservation]:
     obs_id.
     """
     groups: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFileError("no observations: file is empty")
-        if tuple(header) != CHOICE_HEADER:
-            raise DataFileError(
-                f"bad header {header!r}; expected {','.join(CHOICE_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != len(CHOICE_HEADER):
-                raise DataFileError(
-                    f"line {line}: expected {len(CHOICE_HEADER)} fields, "
-                    f"got {len(row)}")
-            obs_id, participant, scenario_id, label = row[:4]
-            try:
-                attrs = ExitAttributes(
-                    np=float(row[4]), dist=float(row[5]),
-                    smoke=_parse_binary(row[6], "smoke", line),
-                    fam=_parse_binary(row[7], "fam", line))
-            except DataFileError:
-                raise
-            except ValueError as exc:
-                raise DataFileError(f"line {line}: {exc}") from exc
-            chosen = _parse_binary(row[8], "chosen", line)
-            first = _parse_binary(row[9], "first_choice", line)
-            groups.setdefault(obs_id, []).append(
-                (participant, scenario_id, label, attrs, chosen, first))
+    for obs_id, record in _read_rows(path, _choice_parser):
+        groups.setdefault(obs_id, []).append(record)
 
     if not groups:
         raise DataFileError("no observations: file has a header but no rows")
@@ -155,67 +197,41 @@ def write_scenarios_csv(path, scenarios: Sequence[Scenario],
         if s.labels != labels:
             raise ValueError(
                 f"scenario {s.id!r} has labels {s.labels}, expected {labels}")
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(_scenario_header(labels))
-        for s in scenarios:
-            row = [s.id]
-            for _, attrs in s.alternatives:
-                row.extend((_fmt(attrs.np), _fmt(attrs.dist),
-                            attrs.smoke, attrs.fam))
-            w.writerow(row)
-        if d_error is not None:
-            fh.write(f"# d_error={_fmt_float(d_error)}\n")
+    _write_rows(
+        path, _scenario_header(labels),
+        ((s.id, *(cell for _, attrs in s.alternatives
+                  for cell in _encode_exit(attrs))) for s in scenarios),
+        footer=None if d_error is None else f"d_error={_fmt_float(d_error)}")
+
+
+def _scenario_parser(header):
+    if not header or header[0] != "scenario_id":
+        raise DataFileError(
+            "bad scenario file header; first column must be scenario_id")
+    labels: list[str] = []
+    for col in header[1:]:
+        attr_col = next((c for c in _ATTR_COLUMNS.values()
+                         if col.startswith(c + "_")), None)
+        if attr_col is None:
+            raise DataFileError(f"unrecognized scenario column {col!r}")
+        labels.append(col[len(attr_col) + 1:])
+    labels = list(dict.fromkeys(labels))
+    expected = _scenario_header(labels)
+    if header != expected:
+        raise DataFileError(
+            f"scenario columns {header!r} do not match the expected "
+            f"layout {expected!r}")
+
+    def parse(row):
+        exits = zip(*[iter(row[1:])] * len(ATTRIBUTES))  # cells in fours
+        return Scenario(id=row[0], alternatives=tuple(
+            (label, _decode_exit(cells)) for label, cells in zip(labels, exits)))
+    return parse
 
 
 def read_scenarios_csv(path) -> list[Scenario]:
-    """Read a wide scenario table; footer comment lines are ignored."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "scenario_id":
-            raise DataFileError(
-                "bad scenario file header; first column must be scenario_id")
-        labels: list[str] = []
-        for col in header[1:]:
-            for attr, attr_col in _ATTR_COLUMNS.items():
-                prefix = attr_col + "_"
-                if col.startswith(prefix):
-                    label = col[len(prefix):]
-                    if label not in labels:
-                        labels.append(label)
-                    break
-            else:
-                raise DataFileError(f"unrecognized scenario column {col!r}")
-        expected = _scenario_header(labels)
-        if header != expected:
-            raise DataFileError(
-                f"scenario columns {header!r} do not match the expected "
-                f"layout {expected!r}")
-
-        scenarios = []
-        n_attr = len(ATTRIBUTES)
-        for line, row in enumerate(reader, start=2):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != len(expected):
-                raise DataFileError(
-                    f"line {line}: expected {len(expected)} fields, "
-                    f"got {len(row)}")
-            alternatives = []
-            try:
-                for a, label in enumerate(labels):
-                    chunk = row[1 + n_attr * a: 1 + n_attr * (a + 1)]
-                    alternatives.append((label, ExitAttributes(
-                        np=float(chunk[0]), dist=float(chunk[1]),
-                        smoke=_parse_binary(chunk[2], "smoke", line),
-                        fam=_parse_binary(chunk[3], "fam", line))))
-                scenarios.append(
-                    Scenario(id=row[0], alternatives=tuple(alternatives)))
-            except DataFileError:
-                raise
-            except ValueError as exc:
-                raise DataFileError(f"line {line}: {exc}") from exc
+    """Read a wide scenario table; the footer row is ignored."""
+    scenarios = list(_read_rows(path, _scenario_parser))
     if not scenarios:
         raise DataFileError("scenario file has no rows")
     return scenarios
@@ -225,22 +241,42 @@ def read_scenarios_csv(path) -> list[Scenario]:
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
-def _fmt_float(value) -> str:
-    return repr(float(value))
-
-
 def write_inference_csv(path, rows: Iterable[InferenceRow],
                         fit: ModelFit) -> None:
     """Write an inference table with a log-likelihood footer line."""
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(INFERENCE_HEADER)
-        for r in rows:
-            w.writerow((r.name, _fmt_float(r.estimate), _fmt_float(r.std_error),
-                        _fmt_float(r.z_value), _fmt_float(r.p_value)))
-        fh.write(f"# log_likelihood={_fmt_float(fit.log_likelihood)} "
-                 f"n_obs={fit.n_obs} converged={fit.converged} "
-                 f"iterations={fit.iterations}\n")
+    _write_rows(
+        path, INFERENCE_HEADER,
+        ((r.name, _fmt_float(r.estimate), _fmt_float(r.std_error),
+          _fmt_float(r.z_value), _fmt_float(r.p_value)) for r in rows),
+        footer=f"log_likelihood={_fmt_float(fit.log_likelihood)} "
+               f"n_obs={fit.n_obs} converged={fit.converged} "
+               f"iterations={fit.iterations}")
+
+
+def _params_parser(header):
+    if (header is None or tuple(header) != INFERENCE_HEADER[:len(header)]
+            or len(header) < 2):
+        raise DataFileError(
+            "bad coefficient file header; expected columns "
+            f"{','.join(INFERENCE_HEADER)} (std_error onward optional)")
+    has_se = len(header) >= 3
+    seen: set[str] = set()
+
+    def parse(row):
+        name = row[0]
+        if name in seen:
+            raise ValueError(f"duplicate coefficient {name!r}")
+        seen.add(name)
+        est = float(row[1])
+        se = float(row[2]) if has_se else None
+        if not math.isfinite(est):
+            raise ValueError(
+                f"estimate of {name!r} must be finite, got {row[1]!r}")
+        if has_se and not 0 < se < math.inf:
+            raise ValueError(f"std_error of {name!r} must be finite and "
+                             f"> 0, got {row[2]!r}")
+        return name, (est, se)
+    return parse
 
 
 def read_params_csv(path) -> dict[str, tuple[float, float | None]]:
@@ -251,41 +287,7 @@ def read_params_csv(path) -> dict[str, tuple[float, float | None]]:
     the layout has them, finite and positive.  Keeps file order (useful to
     rebuild a ModelSpec).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if (header is None or tuple(header) != INFERENCE_HEADER[:len(header)]
-                or len(header) < 2):
-            raise DataFileError(
-                "bad coefficient file header; expected columns "
-                f"{','.join(INFERENCE_HEADER)} (std_error onward optional)")
-        has_se = len(header) >= 3
-        params: dict[str, tuple[float, float | None]] = {}
-        for line, row in enumerate(reader, start=2):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != len(header):
-                raise DataFileError(
-                    f"line {line}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            name = row[0]
-            if name in params:
-                raise DataFileError(f"line {line}: duplicate coefficient "
-                                    f"{name!r}")
-            try:
-                est = float(row[1])
-                se = float(row[2]) if has_se else None
-            except ValueError as exc:
-                raise DataFileError(f"line {line}: {exc}") from exc
-            if not math.isfinite(est):
-                raise DataFileError(
-                    f"line {line}: estimate of {name!r} must be finite, "
-                    f"got {row[1]!r}")
-            if has_se and not 0 < se < math.inf:
-                raise DataFileError(
-                    f"line {line}: std_error of {name!r} must be finite and "
-                    f"> 0, got {row[2]!r}")
-            params[name] = (est, se)
+    params = dict(_read_rows(path, _params_parser))
     if not params:
         raise DataFileError("coefficient file has no rows")
     return params
@@ -293,21 +295,16 @@ def read_params_csv(path) -> dict[str, tuple[float, float | None]]:
 
 def write_curve_csv(path, curves: Mapping[str, Sequence[tuple]]) -> None:
     """Write sensitivity curves: familiarity, swept value, P(exit A)."""
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(("familiarity", "swept_value", "p_exit_a"))
-        for condition, curve in curves.items():
-            for value, p in curve:
-                w.writerow((condition, _fmt(value), _fmt_float(p)))
+    _write_rows(path, ("familiarity", "swept_value", "p_exit_a"), (
+        (condition, _fmt(value), _fmt_float(p))
+        for condition, curve in curves.items() for value, p in curve))
 
 
 def write_probabilities_csv(path, rows: Sequence[tuple]) -> None:
     """Write predicted probabilities: scenario_id, alt_label, probability."""
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(("scenario_id", "alt_label", "probability"))
-        for scenario_id, label, p in rows:
-            w.writerow((scenario_id, label, _fmt_float(p)))
+    _write_rows(path, ("scenario_id", "alt_label", "probability"), (
+        (scenario_id, label, _fmt_float(p))
+        for scenario_id, label, p in rows))
 
 
 # ---------------------------------------------------------------------------

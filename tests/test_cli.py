@@ -267,6 +267,9 @@ def small_design_config(tmp_path, priors, design):
     ({"np": 0.1, "smoke": -1.0}, {"size": [3]}, "design.size"),
     ({"np": 0.1, "smoke": -1.0}, {"size": 3, "with_replacement": "false"},
      "design.with_replacement"),
+    ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": 0}, "iterations"),
+    ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": -1},
+     "iterations"),
 ])
 def test_design_bad_config_value_exit_2(tmp_path, capsys, priors, design,
                                         key):
@@ -274,6 +277,33 @@ def test_design_bad_config_value_exit_2(tmp_path, capsys, priors, design,
                  small_design_config(tmp_path, priors, design)])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_design_with_float_flag_levels_then_predict(tmp_path, capsys):
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": "np"}, {"attr": "smoke"}]},
+        "levels": {
+            "A": {"np": [0, 5], "dist": [4.0], "smoke": [0.0, 1.0],
+                  "fam": [1.0]},
+            "B": {"np": [0, 5], "dist": [2.0], "smoke": [0.0, 1.0],
+                  "fam": [0.0]},
+        },
+        "priors": {"np": 0.1, "smoke": -1.0},
+        "design": {"size": 3}}))
+    design_csv = tmp_path / "design.csv"
+    assert main(["design", "--config", str(config),
+                 "--out", str(design_csv)]) == 0
+    out = capsys.readouterr().out
+    assert "smoke=0)" in out or "smoke=1)" in out
+    assert "smoke=0.0" not in out and "smoke=1.0" not in out
+    rows = design_csv.read_text().splitlines()
+    assert all(row.split(",")[3] in ("0", "1") for row in rows[1:-1])
+    params = write_params(tmp_path / "params.csv",
+                          {"np": (0.1, 0.01), "smoke": (-1.0, 0.1)})
+    assert main(["predict", "--params", params, "--scenarios",
+                 str(design_csv)]) == 0
 
 
 def test_design_non_numeric_level_exit_2(tmp_path, capsys):

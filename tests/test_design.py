@@ -482,6 +482,16 @@ def test_search_all_singular_step_picks_lowest_free_candidate():
     assert got.d_error == d
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+@pytest.mark.parametrize("size", [2, 6])
+def test_search_rejects_iterations_below_one(iterations, size):
+    spec = ModelSpec((("np", False), ("dist", False)))
+    candidates = random_candidates(6, np.random.default_rng(71))
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        search_design(candidates, size, spec, [0.1, -0.2],
+                      iterations=iterations)
+
+
 def test_d_errors_stack_equals_per_matrix_rule():
     rng = np.random.default_rng(67)
     k = 4

@@ -156,6 +156,42 @@ def test_scenario_csv_non_finite_attribute_cites_line(tmp_path, bad):
         io.read_scenarios_csv(path)
 
 
+def test_scenario_csv_id_starting_with_hash_is_data(tmp_path):
+    path = tmp_path / "scenarios.csv"
+    scenarios = [Scenario(id=sid, alternatives=s.alternatives)
+                 for sid, s in zip(("#7", 2), ref.EXPERIMENT_SCENARIOS)]
+    io.write_scenarios_csv(path, scenarios, d_error=0.5)
+    back = io.read_scenarios_csv(path)
+    assert [s.id for s in back] == ["#7", "2"]
+
+
+def test_scenario_csv_comment_with_data_width_is_not_a_footer(tmp_path):
+    path = tmp_path / "scenarios.csv"
+    io.write_scenarios_csv(path, ref.EXPERIMENT_SCENARIOS[:1])
+    with open(path, "a") as fh:
+        fh.write("# note" + "," * 12 + "\n")
+    with pytest.raises(io.DataFileError, match="line 3: "):
+        io.read_scenarios_csv(path)
+
+
+@pytest.mark.parametrize("flag", [True, 1.0, np.int64(1), np.float64(1.0)])
+def test_flags_of_any_numeric_type_written_as_0_or_1(tmp_path, flag):
+    zero = type(flag)(0)
+    exits = (("A", ExitAttributes(np=1, dist=2.5, smoke=flag, fam=zero)),
+             ("B", ExitAttributes(np=0, dist=3, smoke=zero, fam=flag)))
+    scenario = Scenario(id=1, alternatives=exits)
+    choices, table = tmp_path / "choices.csv", tmp_path / "scenarios.csv"
+    io.write_choice_csv(choices, [ChoiceObservation(
+        participant_id="p1", scenario=scenario, chosen=1, first_choice=flag)])
+    io.write_scenarios_csv(table, [scenario])
+    assert choices.read_text().splitlines()[1:] == [
+        "1,p1,1,A,1,2.5,1,0,0,1", "1,p1,1,B,0,3,0,1,1,1"]
+    assert table.read_text().splitlines()[1] == "1,1,2.5,1,0,0,3,0,1"
+    [obs] = io.read_choice_csv(choices)
+    assert obs.scenario.alternatives == exits and obs.first_choice == 1
+    assert io.read_scenarios_csv(table)[0].alternatives == exits
+
+
 def test_scenario_csv_unknown_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("scenario_id,width_A\n1,2\n")
@@ -167,12 +203,13 @@ def test_scenario_csv_unknown_column_rejected(tmp_path):
 # CSV round trips for any valid data
 # ---------------------------------------------------------------------------
 
-_names = st.text(string.ascii_letters + string.digits + "_-. ", min_size=1,
+_names = st.text(string.ascii_letters + string.digits + "_-. #", min_size=1,
                  max_size=4)
 _amounts = (st.integers(0, 10 ** 6)
             | st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+_flags = st.sampled_from([0, 1, False, True, 0.0, 1.0])
 _exits = st.builds(ExitAttributes, np=_amounts, dist=_amounts,
-                   smoke=st.integers(0, 1), fam=st.integers(0, 1))
+                   smoke=_flags, fam=_flags)
 
 
 @st.composite
@@ -194,7 +231,7 @@ def observation_lists(draw):
     return [ChoiceObservation(
                 participant_id=draw(_names), scenario=s,
                 chosen=draw(st.integers(0, s.n_alternatives - 1)),
-                first_choice=draw(st.integers(0, 1)))
+                first_choice=draw(_flags))
             for s in draw(st.lists(st.sampled_from(scenarios), min_size=1,
                                    max_size=8))]
 
@@ -273,6 +310,28 @@ def test_params_csv_non_finite_estimate_cites_line(tmp_path, est):
     with pytest.raises(io.DataFileError,
                        match="line 2: estimate of 'np' must be finite"):
         io.read_params_csv(path)
+
+
+@pytest.mark.parametrize("reader, text, width", [
+    (io.read_choice_csv,
+     ",".join(io.CHOICE_HEADER) + "\n1,p1,s1,A,0,6,0,1,1,0\n1,p1,s1,B\n", 10),
+    (io.read_scenarios_csv,
+     "scenario_id,np_A,dist_m_A,smoke_A,fam_A\n\n1,0,6,0,1,2\n", 5),
+    (io.read_params_csv, "name,estimate,std_error\n# note\nnp,0.1\n", 3),
+])
+def test_wrong_field_count_cites_line(tmp_path, reader, text, width):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(io.DataFileError,
+                       match=f"line 3: expected {width} fields, got "):
+        reader(path)
+
+
+def test_params_csv_skips_blank_and_footer_rows(tmp_path):
+    path = tmp_path / "params.csv"
+    path.write_text("name,estimate\n\nnp,0.1\n# a footer\n\ndist,-0.4\n")
+    assert io.read_params_csv(path) == {"np": (0.1, None),
+                                        "dist": (-0.4, None)}
 
 
 def test_params_csv_duplicate_name_rejected(tmp_path):
