@@ -4,8 +4,15 @@ tables and the JSON run config.
 All CSVs use dot-decimal numbers regardless of locale, LF line endings and
 full-precision floats (display rounding happens only in CLI printing).  One
 row reader and one row writer serve every table; a footer row is a single
-field starting with ``#``, skipped on read.  One codec reads and writes the
-``np, dist_m, smoke, fam`` cells of an exit, flags always as ``0``/``1``.
+field starting with ``#``, skipped on read.  Files are UTF-8 whatever the
+locale.  One codec reads and writes the ``np, dist_m, smoke, fam`` cells of
+an exit, flags always as ``0``/``1``.
+
+A read returns shared immutable objects: one ``ExitAttributes`` per distinct
+exit cell text and, in a choice file, one ``Scenario`` per distinct scenario
+id and alternatives, for the first 4,096 of each.  Every check still runs on
+every row, so each error cites its own line.  The rows of one obs_id must be
+contiguous and agree on participant_id and scenario_id.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import csv
 import json
 import math
 import sys
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +53,11 @@ class ConfigError(ValueError):
 _FLAG_CELLS = {0: "0", 1: "1"}
 _FLAG_VALUES = {"0": 0, "1": 1}
 
+#: Distinct exits, and distinct scenarios, that one read shares.  The
+#: memos stop growing there, so a file of mostly distinct choice sets pays
+#: no memory for interning that would never hit.
+_MEMO_SIZE = 4096
+
 
 def _fmt(value) -> str:
     f = float(value)
@@ -66,11 +80,23 @@ def _encode_exit(attrs: ExitAttributes) -> tuple[str, str, str, str]:
             _FLAG_CELLS[attrs.fam])
 
 
-def _decode_exit(cells: Sequence[str]) -> ExitAttributes:
-    """The exit written as ``np, dist_m, smoke, fam`` cells."""
-    return ExitAttributes(np=float(cells[0]), dist=float(cells[1]),
-                          smoke=_parse_binary(cells[2], "smoke"),
-                          fam=_parse_binary(cells[3], "fam"))
+def _decode_exit(cells: tuple[str, str, str, str],
+                 memo: dict) -> ExitAttributes:
+    """The exit written as ``np, dist_m, smoke, fam`` cells.
+
+    ``memo`` maps the cell tuples decoded earlier in the same read to their
+    exit, so equal cell text gives one shared object.  Cells that fail to
+    decode are never stored, so every row that has them raises.
+    """
+    attrs = memo.get(cells)
+    if attrs is None:
+        attrs = ExitAttributes(
+            np=float(cells[0]), dist=float(cells[1]),
+            smoke=_parse_binary(cells[2], "smoke"),
+            fam=_parse_binary(cells[3], "fam"))
+        if len(memo) < _MEMO_SIZE:
+            memo[cells] = attrs
+    return attrs
 
 
 def _read_rows(path, parser: Callable) -> Iterator:
@@ -81,7 +107,7 @@ def _read_rows(path, parser: Callable) -> Iterator:
     row must have as many fields as the header, and a ValueError from the
     row parser becomes a DataFileError citing the line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         parse = parser(header)
@@ -102,7 +128,7 @@ def _read_rows(path, parser: Callable) -> Iterator:
 def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence],
                 footer: str | None = None) -> None:
     """Write a CSV table: the header, the rows and an optional ``# footer``."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -124,57 +150,82 @@ def write_choice_csv(path, observations: Sequence[ChoiceObservation]) -> None:
         for j, (label, attrs) in enumerate(obs.scenario.alternatives)))
 
 
-def _parse_choice_row(row: list[str]) -> tuple:
-    """``(obs_id, (participant, scenario_id, label, attrs, chosen, first))``"""
-    return row[0], (row[1], row[2], row[3], _decode_exit(row[4:8]),
-                    _parse_binary(row[8], "chosen"),
-                    _parse_binary(row[9], "first_choice"))
-
-
 def _choice_parser(header):
     if header is None:
         raise DataFileError("no observations: file is empty")
     if tuple(header) != CHOICE_HEADER:
         raise DataFileError(
             f"bad header {header!r}; expected {','.join(CHOICE_HEADER)}")
-    return _parse_choice_row
+    exits: dict = {}
+    done: set = set()  # obs_ids whose rows have started
+    head = [None]  # the first row of the observation being read
+
+    def parse(row):
+        """``(obs_id, participant, scenario_id, (label, attrs), chosen,
+        first_choice)``.  An observation's rows are contiguous and agree
+        with its first row on participant_id and scenario_id."""
+        nonlocal head
+        obs_id = row[0]
+        if obs_id != head[0]:
+            if obs_id in done:
+                raise ValueError(f"obs_id {obs_id} reappears after the rows "
+                                 "of another observation")
+            done.add(obs_id)
+            head = row
+        elif row[1] != head[1] or row[2] != head[2]:
+            column = 1 if row[1] != head[1] else 2
+            raise ValueError(
+                f"obs_id {obs_id}: {CHOICE_HEADER[column]} {row[column]!r} "
+                f"differs from {head[column]!r} in its first row")
+        return (obs_id, row[1], row[2],
+                (row[3], _decode_exit((row[4], row[5], row[6], row[7]),
+                                      exits)),
+                _parse_binary(row[8], "chosen"),
+                _parse_binary(row[9], "first_choice"))
+    return parse
 
 
 def read_choice_csv(path) -> list[ChoiceObservation]:
     """Read and validate a long-format choice data file.
 
-    Each obs_id must have at least two rows, exactly one with chosen=1 and a
+    Each obs_id must have at least two contiguous rows that agree on
+    participant_id and scenario_id, exactly one with chosen=1 and a
     constant first_choice flag.  Errors cite the offending line number or
-    obs_id.
+    obs_id.  Observations of equal scenarios share one ``Scenario`` object,
+    and equal exit cells one ``ExitAttributes`` object (the first 4,096
+    distinct ones each).
     """
-    groups: dict[str, list] = {}
-    for obs_id, record in _read_rows(path, _choice_parser):
-        groups.setdefault(obs_id, []).append(record)
-
-    if not groups:
-        raise DataFileError("no observations: file has a header but no rows")
-
+    scenarios: dict = {}
     observations = []
-    for obs_id, rows in groups.items():
-        if len(rows) < 2:
+    for obs_id, rows in groupby(_read_rows(path, _choice_parser),
+                                 key=itemgetter(0)):
+        (_, participants, scenario_ids, alternatives, chosen,
+         first_choice) = zip(*rows)
+        if len(alternatives) < 2:
             raise DataFileError(
                 f"obs_id {obs_id}: needs at least 2 alternative rows")
-        chosen_rows = [i for i, r in enumerate(rows) if r[4] == 1]
-        if len(chosen_rows) != 1:
+        if chosen.count(1) != 1:
             raise DataFileError(
                 f"obs_id {obs_id}: expected exactly one chosen=1 row, "
-                f"found {len(chosen_rows)}")
-        if len({r[5] for r in rows}) != 1:
+                f"found {chosen.count(1)}")
+        if first_choice.count(first_choice[0]) != len(first_choice):
             raise DataFileError(
                 f"obs_id {obs_id}: first_choice differs across rows")
-        try:
-            scenario = Scenario(id=rows[0][1], alternatives=tuple(
-                (r[2], r[3]) for r in rows))
-        except ValueError as exc:
-            raise DataFileError(f"obs_id {obs_id}: {exc}") from exc
+        key = (scenario_ids[0], alternatives)
+        scenario = scenarios.get(key)
+        if scenario is None:
+            try:
+                scenario = Scenario(id=scenario_ids[0],
+                                    alternatives=alternatives)
+            except ValueError as exc:
+                raise DataFileError(f"obs_id {obs_id}: {exc}") from exc
+            if len(scenarios) < _MEMO_SIZE:  # the key reuses its tuple
+                scenarios[scenario.id, scenario.alternatives] = scenario
         observations.append(ChoiceObservation(
-            participant_id=rows[0][0], scenario=scenario,
-            chosen=chosen_rows[0], first_choice=rows[0][5]))
+            participant_id=participants[0], scenario=scenario,
+            chosen=chosen.index(1), first_choice=first_choice[0]))
+    if not observations:
+        raise DataFileError("no observations: file has a header but no rows")
     return observations
 
 
@@ -192,6 +243,8 @@ def _scenario_header(labels: Sequence[str]) -> list[str]:
 def write_scenarios_csv(path, scenarios: Sequence[Scenario],
                         d_error: float | None = None) -> None:
     """Write scenarios as one wide row each; optional D-error footer."""
+    if not scenarios:
+        raise ValueError("no scenarios to write")
     labels = scenarios[0].labels
     for s in scenarios:
         if s.labels != labels:
@@ -222,10 +275,13 @@ def _scenario_parser(header):
             f"scenario columns {header!r} do not match the expected "
             f"layout {expected!r}")
 
+    exits: dict = {}
+
     def parse(row):
-        exits = zip(*[iter(row[1:])] * len(ATTRIBUTES))  # cells in fours
+        cells = zip(*[iter(row[1:])] * len(ATTRIBUTES))  # in fours
         return Scenario(id=row[0], alternatives=tuple(
-            (label, _decode_exit(cells)) for label, cells in zip(labels, exits)))
+            (label, _decode_exit(four, exits))
+            for label, four in zip(labels, cells)))
     return parse
 
 
@@ -353,7 +409,7 @@ def _options(cfg, section: str, kinds: dict) -> dict:
 
 def load_config(path) -> dict:
     """Load and structurally validate a run config."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -108,6 +108,23 @@ def test_estimate_non_finite_attribute_exit_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, line", [
+    # obs 1 has rows of two participants and two scenarios
+    (["1,p1,s1,A,0,6,0,1,1,0", "1,p2,s9,B,5,3.6,1,0,0,0",
+      "2,p2,s1,A,0,6,0,1,1,0", "2,p2,s1,B,5,3.6,1,0,0,0"], 3),
+    # obs 1 reappears after obs 2
+    (["1,p1,s1,A,0,6,0,1,1,0", "1,p1,s1,B,5,3.6,1,0,0,0",
+      "2,p2,s1,A,0,6,0,1,1,0", "2,p2,s1,B,5,3.6,1,0,0,0",
+      "1,p1,s1,C,5,4.6,1,0,0,0"], 6),
+])
+def test_estimate_split_or_disagreeing_observation_exit_2(tmp_path, capsys,
+                                                           rows, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([",".join(io.CHOICE_HEADER), *rows]) + "\n")
+    assert main(["estimate", "--data", str(bad)]) == 2
+    assert f"line {line}: obs_id 1" in capsys.readouterr().err
+
+
 def test_simulate_bad_std_error_exit_2(tmp_path, scenarios_csv, capsys):
     params = tmp_path / "params.csv"
     params.write_text("name,estimate,std_error\nnp,0.04,0.01\n"

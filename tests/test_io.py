@@ -1,8 +1,12 @@
 """Tests for CSV formats and the run config loader."""
 
+import csv
 import json
-
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
                         Scenario, generate_dataset)
 from exitchoice import io
 from exitchoice import reference as ref
+from exitchoice.core import _ChoiceSets
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES)
@@ -126,6 +131,103 @@ def test_choice_csv_bad_header_rejected(tmp_path):
         io.read_choice_csv(path)
 
 
+def write_choice_rows(path, rows):
+    path.write_text("\n".join([",".join(io.CHOICE_HEADER), *rows]) + "\n")
+
+
+def test_choice_csv_rows_disagreeing_with_first_row_cite_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_choice_rows(path, ["1,p1,s1,A,0,6,0,1,1,0",
+                             "1,p1,s1,B,5,3.6,1,0,0,0",
+                             "1,p2,s1,C,5,4.6,1,0,0,0"])
+    with pytest.raises(io.DataFileError, match="line 4: obs_id 1: "
+                       "participant_id 'p2' differs from 'p1'"):
+        io.read_choice_csv(path)
+    write_choice_rows(path, ["1,p1,s1,A,0,6,0,1,1,0",
+                             "1,p1,s9,B,5,3.6,1,0,0,0"])
+    with pytest.raises(io.DataFileError, match="line 3: obs_id 1: "
+                       "scenario_id 's9' differs from 's1'"):
+        io.read_choice_csv(path)
+
+
+def test_choice_csv_obs_id_reappearing_after_another_cites_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_choice_rows(path, ["1,p1,s1,A,0,6,0,1,1,0",
+                             "1,p1,s1,B,5,3.6,1,0,0,0",
+                             "2,p2,s1,A,0,6,0,1,1,0",
+                             "2,p2,s1,B,5,3.6,1,0,0,0",
+                             "1,p1,s1,C,5,4.6,1,0,0,0"])
+    with pytest.raises(io.DataFileError,
+                       match="line 6: obs_id 1 reappears after"):
+        io.read_choice_csv(path)
+
+
+def test_choice_csv_bad_cell_in_repeated_exit_cites_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = [f"{i // 2 + 1},p,s1,{'AB'[i % 2]},5,3.6,1,0,{i % 2},0"
+            for i in range(42)]  # lines 2-43, all with the same exit
+    rows[39] = rows[39].replace(",1,0,1,0", ",2,0,1,0")  # line 41
+    rows[41] = rows[41].replace(",1,0,1,0", ",2,0,1,0")  # line 43
+    write_choice_rows(path, rows)
+    with pytest.raises(io.DataFileError,
+                       match="line 41: smoke must be 0 or 1, got '2'"):
+        io.read_choice_csv(path)
+
+
+def test_decode_exit_never_stores_a_failure():
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="smoke"):
+            io._decode_exit(("5", "3.6", "2", "0"), memo)
+        with pytest.raises(ValueError, match="finite"):
+            io._decode_exit(("nan", "3.6", "1", "0"), memo)
+    assert memo == {}
+
+
+def test_choice_csv_equal_exits_in_other_text_group_together(tmp_path):
+    path = tmp_path / "choices.csv"
+    write_choice_rows(path, ["1,p1,s1,A,1,6,0,1,1,0",
+                             "1,p1,s1,B,5,3.6,1,0,0,0",
+                             "2,p2,s1,A,1.0,6.00,0,1,0,0",
+                             "2,p2,s1,B,5,3.6,1,0,1,0"])
+    memo = {}
+    one = io._decode_exit(("1", "6", "0", "1"), memo)
+    other = io._decode_exit(("1.0", "6.00", "0", "1"), memo)
+    assert one == other == ExitAttributes(np=1, dist=6, smoke=0, fam=1)
+    assert one is not other and len(memo) == 2
+    first, second = io.read_choice_csv(path)
+    assert first.scenario is second.scenario
+    sets = _ChoiceSets.from_observations([first, second], ref.POOLED_SPEC)
+    assert sets.counts.tolist() == [[1.0, 1.0]]
+
+
+def test_choice_csv_read_shares_one_object_per_exit_and_scenario(tmp_path):
+    path = tmp_path / "choices.csv"
+    io.write_choice_csv(path, sample_data(n=6250, seed=0))
+    data = io.read_choice_csv(path)
+    assert len(data) == 50_000
+    assert len({id(attrs) for obs in data
+                for _, attrs in obs.scenario.alternatives}) == 18
+    assert len({id(obs.scenario) for obs in data}) == 8
+
+
+def test_choice_csv_read_past_the_memo_size_equals_oracle(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(io, "_MEMO_SIZE", 3)
+    path = tmp_path / "choices.csv"
+    data = sample_data(n=2, seed=1)
+    io.write_choice_csv(path, data)
+    back = io.read_choice_csv(path)
+    assert back == oracle_read_choice_csv(path)
+    assert len({id(obs.scenario) for obs in back}) > 8
+    exits = {id(attrs)
+             for obs in back for _, attrs in obs.scenario.alternatives}
+    assert 18 < len(exits) < 3 * len(back)
+    sets = _ChoiceSets.from_observations(back, SPEC2)
+    assert sets.counts.tolist() == \
+        _ChoiceSets.from_observations(data, SPEC2).counts.tolist()
+
+
 # ---------------------------------------------------------------------------
 # scenario CSV
 # ---------------------------------------------------------------------------
@@ -190,6 +292,13 @@ def test_flags_of_any_numeric_type_written_as_0_or_1(tmp_path, flag):
     [obs] = io.read_choice_csv(choices)
     assert obs.scenario.alternatives == exits and obs.first_choice == 1
     assert io.read_scenarios_csv(table)[0].alternatives == exits
+
+
+def test_scenario_csv_empty_list_rejected(tmp_path):
+    path = tmp_path / "scenarios.csv"
+    with pytest.raises(ValueError, match="no scenarios to write"):
+        io.write_scenarios_csv(path, [])
+    assert not path.exists()
 
 
 def test_scenario_csv_unknown_column_rejected(tmp_path):
@@ -262,6 +371,132 @@ def test_scenario_csv_roundtrip_any_scenarios(tmp_path_factory, scenarios):
     back = io.read_scenarios_csv(path)
     assert len(back) == len(scenarios)
     assert all(same_scenario(a, b) for a, b in zip(scenarios, back))
+
+
+def oracle_read_choice_csv(path):
+    """The reader before interning: new objects for every row, grouped by
+    obs_id over the whole file, each observation taken from its first row."""
+    def parse_row(row):
+        return row[0], (row[1], row[2], row[3], ExitAttributes(
+                            np=float(row[4]), dist=float(row[5]),
+                            smoke=io._parse_binary(row[6], "smoke"),
+                            fam=io._parse_binary(row[7], "fam")),
+                        io._parse_binary(row[8], "chosen"),
+                        io._parse_binary(row[9], "first_choice"))
+
+    def parser(header):
+        assert tuple(header) == io.CHOICE_HEADER
+        return parse_row
+
+    groups = {}
+    for obs_id, record in io._read_rows(path, parser):
+        groups.setdefault(obs_id, []).append(record)
+    observations = []
+    for obs_id, rows in groups.items():
+        chosen_rows = [i for i, r in enumerate(rows) if r[4] == 1]
+        assert len(rows) >= 2 and len(chosen_rows) == 1
+        assert len({r[5] for r in rows}) == 1
+        scenario = Scenario(id=rows[0][1], alternatives=tuple(
+            (r[2], r[3]) for r in rows))
+        observations.append(ChoiceObservation(
+            participant_id=rows[0][0], scenario=scenario,
+            chosen=chosen_rows[0], first_choice=rows[0][5]))
+    return observations
+
+
+@st.composite
+def repetitive_observation_lists(draw):
+    """Observations over 2-/3-exit scenarios whose exits come from a small
+    pool, so that exits and whole scenarios repeat."""
+    pool = draw(st.lists(_exits, min_size=1, max_size=4))
+    exits = st.sampled_from(pool) | _exits
+    scenarios = []
+    for _ in range(draw(st.integers(1, 4))):
+        labels = draw(st.lists(_names, min_size=2, max_size=3, unique=True))
+        scenarios.append(Scenario(
+            id=draw(st.integers(0, 3) | _names),
+            alternatives=tuple((label, draw(exits)) for label in labels)))
+    return [ChoiceObservation(
+                participant_id=draw(_names), scenario=s,
+                chosen=draw(st.integers(0, s.n_alternatives - 1)),
+                first_choice=draw(_flags))
+            for s in draw(st.lists(st.sampled_from(scenarios), min_size=1,
+                                   max_size=12))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(repetitive_observation_lists())
+def test_choice_csv_read_equals_oracle_and_shares_objects(tmp_path_factory,
+                                                          data):
+    path = tmp_path_factory.mktemp("interned") / "choices.csv"
+    io.write_choice_csv(path, data)
+    back = io.read_choice_csv(path)
+    assert back == oracle_read_choice_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = [tuple(row[4:8]) for row in list(csv.reader(fh))[1:]]
+    exits = [attrs for obs in back for _, attrs in obs.scenario.alternatives]
+    ids = {}
+    for key, attrs in zip(cells, exits, strict=True):
+        assert ids.setdefault(key, id(attrs)) == id(attrs)
+    scenarios = {}
+    for obs in back:
+        key = (obs.scenario.id, obs.scenario.alternatives)
+        assert scenarios.setdefault(key, obs.scenario) is obs.scenario
+
+
+# ---------------------------------------------------------------------------
+# text encoding
+# ---------------------------------------------------------------------------
+
+UTF8_ROUNDTRIP = r"""
+import json, locale, sys
+from exitchoice import ChoiceObservation, ExitAttributes, Scenario, io
+directory = sys.argv[1]
+scenario = Scenario(id="Nord", alternatives=(
+    ("S\u00fcd", ExitAttributes(np=1, dist=2.5, smoke=0, fam=1)),
+    ("\u00d6st", ExitAttributes(np=0, dist=3, smoke=1, fam=0))))
+data = [ChoiceObservation(participant_id="J\u00fcrgen", scenario=scenario,
+                          chosen=1)]
+io.write_choice_csv(directory + "/choices.csv", data)
+io.write_scenarios_csv(directory + "/scenarios.csv", [scenario])
+assert io.read_choice_csv(directory + "/choices.csv") == data
+assert io.read_scenarios_csv(directory + "/scenarios.csv")[0].labels == \
+    scenario.labels
+cfg = io.load_config(directory + "/config.json")
+print(json.dumps([locale.getpreferredencoding(False), list(cfg["levels"])]))
+"""
+
+
+@pytest.mark.parametrize("locale_env", [
+    {},
+    # ASCII: the C locale without coercion to C.UTF-8 and without UTF-8 mode
+    {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+])
+def test_files_are_utf8_whatever_the_locale(tmp_path, locale_env):
+    (tmp_path / "config.json").write_bytes(json.dumps(
+        {"version": 1, "levels": {"Süd": {"np": [0]}}},
+        ensure_ascii=False).encode("utf-8"))
+    src = Path(io.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("LANG", "LANGUAGE", "PYTHONUTF8",
+                          "PYTHONCOERCECLOCALE", "PYTHONIOENCODING")
+           and not key.startswith("LC_")}
+    env.update(PYTHONPATH=str(src), **locale_env)
+    done = subprocess.run([sys.executable, "-c", UTF8_ROUNDTRIP,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    encoding, labels = json.loads(done.stdout)
+    if locale_env:
+        assert encoding.lower().replace("-", "") != "utf8"
+    assert labels == ["Süd"]
+    assert (tmp_path / "choices.csv").read_bytes().splitlines()[1:] == [
+        b"1,J\xc3\xbcrgen,Nord,S\xc3\xbcd,1,2.5,0,1,0,0",
+        b"1,J\xc3\xbcrgen,Nord,\xc3\x96st,0,3,1,0,1,0"]
+    assert (tmp_path / "scenarios.csv").read_bytes().splitlines()[0] == (
+        "scenario_id,np_Süd,dist_m_Süd,smoke_Süd,fam_Süd,"
+        "np_Öst,dist_m_Öst,smoke_Öst,fam_Öst"
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
