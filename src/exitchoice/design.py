@@ -11,16 +11,35 @@ against exhaustive enumeration in the tests).
 Information is additive over scenarios, so the search computes one K x K
 contribution per candidate with the estimator's kernel (``core._ChoiceSets``,
 one respondent per scenario) into an (n, K, K) array and scores subsets by
-summing contributions.  Each step of the search is a batched scan: the
-partial design's information is added to every candidate's contribution, in
-blocks of ``_BLOCK`` candidates, and each block's D-errors come from one
-stacked ``eigvalsh`` call.  Candidates already in the design are masked after
-scoring.  The scan returns the same indices and bitwise the same D-errors as
-scoring one candidate at a time: stacked eigenvalues, logs and sums equal the
-single-matrix ones, the exponential is ``math.exp`` per row, ties go to the
-lowest candidate index (the first strict minimum in (design position,
-candidate) order for swaps), and a matrix whose smallest eigenvalue is at
-most ``_RANK_RTOL`` times its largest is singular and scores +inf.
+summing contributions.  Each step of the search scans every candidate c
+against the partial design's information B, screening first and confirming
+after:
+
+* **Screen.**  Candidate c's contribution is A_c^T A_c, where row j of the
+  J x K factor A_c is sqrt(p_j) (d_j - dbar), so by the matrix determinant
+  lemma det(B + A_c^T A_c) = det(B) det(I_J + A_c B^-1 A_c^T).  One ``eigh``
+  of B gives B^-1, and a batched LDL^T the J x J determinants of all
+  candidates at once, which rank them as their D-errors do.  The design's
+  own members are masked first when sampling without replacement.
+* **Confirm.**  Every candidate whose screened determinant is within a
+  relative ``_CONFIRM_RTOL`` (1e-9), widened by 4 K eps cond(B) for an
+  ill-conditioned base, of the best is re-scored exactly as ``base +
+  parts[c]`` through ``_d_errors``; the rest score +inf.  The margin covers
+  the rounding of both routes, so the exact minimum, and every candidate
+  bitwise tied with it, is among those re-scored.
+* **Fallback.**  A base whose smallest eigenvalue is at most
+  ``_SCREEN_RTOL`` (1e-8) times its largest (the greedy steps before the
+  design reaches rank K), a failed ``eigh``, or a confirmed candidate that
+  scores +inf sends the step to the full scan: ``base + parts`` in blocks of
+  ``_BLOCK`` candidates, one stacked ``eigvalsh`` call per block.
+
+Either way the step sees the same minimum and first argmin as scoring one
+candidate at a time, so designs and D-errors are bitwise unchanged by the
+screen: stacked eigenvalues, logs and sums equal the single-matrix ones, the
+exponential is ``math.exp`` per row, ties go to the lowest candidate index
+(the first strict minimum in (design position, candidate) order for swaps),
+and a matrix whose smallest eigenvalue is at most ``_RANK_RTOL`` times its
+largest is singular and scores +inf.
 """
 
 from __future__ import annotations
@@ -40,9 +59,20 @@ from .estimation import NotIdentifiedError
 #: treated as singular.
 _RANK_RTOL = 1e-10
 
-#: Candidates scored per stacked ``eigvalsh`` call in the search; bounds the
-#: scan's scratch stack at ``_BLOCK`` x K x K.
+#: Candidates scored per stacked ``eigvalsh`` call in the full scan; bounds
+#: its scratch stack at ``_BLOCK`` x K x K.
 _BLOCK = 256
+
+#: A base whose smallest eigenvalue is at most this times its largest is not
+#: screened; the step takes the full scan.
+_SCREEN_RTOL = 1e-8
+
+#: Screened determinants within this relative distance of the best are
+#: re-scored exactly.  ``_scan`` widens it by 4 K eps cond(B): an eigenvalue
+#: of B + A^T A is off by up to about eps times the largest, so both routes
+#: to the log-determinant can be off by K eps cond(B) on an ill-conditioned
+#: base.
+_CONFIRM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,6 +198,100 @@ def d_error(design: Sequence[Scenario], spec: ModelSpec, priors,
     return _d_from_information(info, spec.n_params)
 
 
+def _candidate_terms(candidates: Sequence[Scenario], spec: ModelSpec,
+                     beta: np.ndarray, c1: int) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """Exact informations and determinant-lemma factors of every candidate.
+
+    Returns ``parts`` (n, K, K), bitwise ``_ChoiceSets.information``, and
+    ``factors`` (J, K, n) with ``factors[j, :, c]`` = sqrt(p_cj) (d_cj -
+    dbar_c), so that candidate c's information is A_c^T A_c for the J x K
+    matrix A_c = ``factors[:, :, c]``.  Padded slots give zero rows.  The
+    candidate axis is last so that the screen works on contiguous (K, n)
+    rows; the kernel arrays are freed on return.
+    """
+    sets = _ChoiceSets.from_scenarios(candidates, spec, c1)
+    p = sets.probabilities(beta)
+    dbar = (p[:, None, :] @ sets.D)[:, 0]
+    factors = np.empty(sets.D.shape[1:] + (len(p),))
+    for j, row in enumerate(factors):
+        row[...] = ((sets.D[:, j] - dbar) * np.sqrt(p[:, j, None])).T
+    return sets._information(p), factors
+
+
+def _full_scan(base: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """D-error of ``base + parts[c]`` for every candidate c, in blocks of
+    ``_BLOCK`` candidates per stacked ``eigvalsh`` call."""
+    n, k = len(parts), parts.shape[1]
+    scratch = np.empty((min(n, _BLOCK), k, k))
+    d = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        d[lo:hi] = _d_errors(
+            np.add(base, parts[lo:hi], out=scratch[:hi - lo]), k)
+    return d
+
+
+def _lemma_determinants(base: np.ndarray, factors: np.ndarray
+                        ) -> tuple[np.ndarray, float] | None:
+    """det(I_J + A_c B^-1 A_c^T) for every candidate c, and cond(B).
+
+    Returns None when B is not safely positive definite: ``eigh`` fails or
+    B's smallest eigenvalue is at most ``_SCREEN_RTOL`` times its largest.
+    The J x J matrices are symmetric with eigenvalues >= 1, so an unpivoted
+    LDL^T over their upper triangles, one entry at a time for all
+    candidates, is stable.
+    """
+    try:
+        lam, vec = np.linalg.eigh(base)
+    except np.linalg.LinAlgError:
+        return None
+    if not lam[0] > _SCREEN_RTOL * lam[-1]:
+        return None
+    inverse = np.einsum("kj,lj->kl", vec / lam, vec)
+    m = {}
+    for b, row in enumerate(factors):
+        solved = np.einsum("kl,ln->kn", inverse, row)
+        for a in range(b + 1):
+            m[a, b] = np.einsum("kn,kn->n", factors[a], solved)
+        m[b, b] += 1.0
+    det = m[0, 0]
+    for j in range(1, len(factors)):
+        for b in range(j, len(factors)):
+            for a in range(j, b + 1):
+                m[a, b] -= m[j - 1, a] * m[j - 1, b] / m[j - 1, j - 1]
+        det = det * m[j, j]
+    return det, lam[-1] / lam[0]
+
+
+def _scan(base: np.ndarray, parts: np.ndarray, factors: np.ndarray,
+          taken: list[int]) -> np.ndarray:
+    """D-errors of ``base + parts[c]`` for a search step, +inf at ``taken``.
+
+    Screens with the determinant lemma and re-scores exactly only the
+    candidates near the screened best; every other candidate scores +inf.
+    The minimum over the candidates not taken, and the lowest index that
+    attains it, are those of ``_full_scan``, which this falls back to when
+    the base cannot be screened or a confirmed candidate is singular.
+    """
+    screened = _lemma_determinants(base, factors)
+    if screened is not None:
+        det, cond = screened
+        det[taken] = -math.inf
+        k = parts.shape[1]
+        rtol = _CONFIRM_RTOL + 4 * k * np.finfo(float).eps * cond
+        keep = np.flatnonzero(det >= det.max() * (1.0 - rtol))
+        exact = _d_errors(base + parts[keep], k)
+        if not np.isinf(exact).any():
+            d = np.full(len(parts), math.inf)
+            d[keep] = exact
+            d[taken] = math.inf
+            return d
+    d = _full_scan(base, parts)
+    d[taken] = math.inf
+    return d
+
+
 def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
                   priors, c1: int = 0, seed: int = 0, iterations: int = 10,
                   with_replacement: bool = False) -> EfficientDesign:
@@ -193,18 +317,9 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
         raise ValueError(f"size {size} exceeds candidate count {n}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     k = spec.n_params
-    parts = _ChoiceSets.from_scenarios(candidates, spec, c1).information(beta)
-    scratch = np.empty((min(n, _BLOCK), k, k))
-
-    def scan(base: np.ndarray) -> np.ndarray:
-        """D-error of ``base + parts[c]`` for every candidate c."""
-        d = np.empty(n)
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            d[lo:hi] = _d_errors(
-                np.add(base, parts[lo:hi], out=scratch[:hi - lo]), k)
-        return d
 
     def finish(indices: Sequence[int]) -> EfficientDesign:
         picked = sorted(indices)
@@ -220,16 +335,18 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
     if size == n and not with_replacement:
         return finish(range(n))
 
+    parts, factors = _candidate_terms(candidates, spec, beta, c1)
     rng = np.random.default_rng(seed)
     best_d, best_idx = math.inf, None
     everything = np.arange(n)
 
     for _ in range(iterations):
         design = [int(rng.integers(n))]
+        taken = [] if with_replacement else design
         info = parts[design[0]].copy()
 
         while len(design) < size:
-            d = scan(info)
+            d = _scan(info, parts, factors, taken)
             free = (everything if with_replacement
                     else np.delete(everything, design))
             pick = int(free[np.argmin(d[free])])
@@ -242,9 +359,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
             improved = False
             swap, swap_d = None, current
             for pos, m in enumerate(design):
-                d = scan(info - parts[m])
-                if not with_replacement:
-                    d[design] = math.inf
+                d = _scan(info - parts[m], parts, factors, taken)
                 c = int(np.argmin(d))
                 if d[c] < swap_d:
                     swap, swap_d = (pos, c), float(d[c])

@@ -57,6 +57,8 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
         raise ValueError("n_per_scenario must be >= 1")
     if not 0.0 <= c1_pattern <= 1.0:
         raise ValueError("c1_pattern must be a fraction in [0, 1]")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     beta = as_params(spec, params)
     rng = np.random.default_rng(seed)
     if not scenarios:

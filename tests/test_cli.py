@@ -296,6 +296,27 @@ def test_design_bad_config_value_exit_2(tmp_path, capsys, priors, design,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, design, value", [
+    (["--seed", "-1"], {"size": 3}, "-1"),
+    ([], {"size": 3, "seed": -3}, "-3"),
+])
+def test_design_negative_seed_exit_2(tmp_path, capsys, flags, design, value):
+    config = small_design_config(tmp_path, {"np": 0.1, "smoke": -1.0},
+                                 design)
+    assert main(["design", "--config", config, *flags]) == 2
+    assert f"seed must be >= 0, got {value}" in capsys.readouterr().err
+
+
+def test_simulate_negative_seed_exit_2(tmp_path, params2, scenarios_csv,
+                                       capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--params", params2, "--scenarios",
+                 scenarios_csv, "--n", "2", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_with_float_flag_levels_then_predict(tmp_path, capsys):
     config = tmp_path / "design.json"
     config.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Tests for factorial enumeration, Fisher information, D-error and search."""
 
+import functools
 import itertools
 import math
 
@@ -14,7 +15,8 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         full_factorial, hessian, search_design, softmax)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
-from exitchoice.design import _RANK_RTOL, _d_errors
+from exitchoice.design import (_BLOCK, _RANK_RTOL, _SCREEN_RTOL,
+                               _candidate_terms, _d_errors, _scan)
 
 POOLED_PRIORS = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -235,6 +237,20 @@ def test_search_over_full_experiment_universe():
     # every selected scenario is a member of the candidate universe
     ids = {s.id for s in candidates}
     assert all(s.id in ids for s in result.scenarios)
+
+
+@pytest.mark.parametrize("size, ids, d", [
+    (6, [61, 241, 493, 1762, 1778, 1841], 0.21348993883731607),
+    (12, [61, 241, 301, 493, 497, 573, 1585, 1762, 1766, 1778, 1841, 1845],
+     0.10728237785575581),
+])
+def test_search_over_full_experiment_universe_other_sizes(size, ids, d):
+    # pinned: the full blocked scan found exactly these designs
+    candidates = full_factorial(ref.EXPERIMENT_LEVELS)
+    result = search_design(candidates, size, ref.POOLED_SPEC, POOLED_PRIORS,
+                           seed=0, iterations=2)
+    assert [s.id for s in result.scenarios] == ids
+    assert result.d_error == d
 
 
 def test_search_unidentifiable_raises():
@@ -480,6 +496,152 @@ def test_search_all_singular_step_picks_lowest_free_candidate():
     assert [s.id - 1 for s in got.scenarios] == indices
     assert len(set(indices)) == 4
     assert got.d_error == d
+
+
+# ---------------------------------------------------------------------------
+# screened scan against the full blocked scan
+# ---------------------------------------------------------------------------
+
+def blocked_scan(base, parts, k):
+    """Reference: D-error of ``base + parts[c]`` for every candidate c, one
+    stacked ``eigvalsh`` call per block of ``_BLOCK`` candidates."""
+    n = len(parts)
+    scratch = np.empty((min(n, _BLOCK), k, k))
+    d = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        d[lo:hi] = _d_errors(
+            np.add(base, parts[lo:hi], out=scratch[:hi - lo]), k)
+    return d
+
+
+def assert_scan_equals_blocked(base, parts, factors, taken):
+    """The screened scan picks what the full scan picks, with the same bits.
+
+    Both search rules are checked: the greedy one (lowest free index among
+    the minima, even when every candidate is singular) and the swap one
+    (first minimum with the design's members at +inf).  Returns both scans.
+    """
+    got = _scan(base, parts, factors, list(taken))
+    want = blocked_scan(base, parts, parts.shape[1])
+    want[list(taken)] = math.inf
+    assert all(math.isinf(got[c]) for c in taken)
+    free = np.delete(np.arange(len(parts)), list(taken))
+    if len(free):
+        pick = int(free[np.argmin(want[free])])
+        assert int(free[np.argmin(got[free])]) == pick
+        assert got[pick] == want[pick]
+    swap = int(np.argmin(want))
+    assert int(np.argmin(got)) == swap
+    assert got[swap] == want[swap]
+    return got, want
+
+
+@functools.lru_cache(maxsize=None)
+def reference_terms():
+    candidates = full_factorial(ref.EXPERIMENT_LEVELS)
+    return _candidate_terms(candidates, ref.POOLED_SPEC, POOLED_PRIORS, 0)
+
+
+def test_candidate_terms_factor_the_exact_informations():
+    parts, factors = reference_terms()
+    assert factors.shape == (3, 4, 2048)
+    np.testing.assert_allclose(np.einsum("jkn,jln->nkl", factors, factors),
+                               parts, rtol=0, atol=1e-12)
+    candidates = full_factorial(ref.EXPERIMENT_LEVELS)
+    np.testing.assert_array_equal(parts, _ChoiceSets.from_scenarios(
+        candidates, ref.POOLED_SPEC, 0).information(POOLED_PRIORS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(members=st.lists(st.integers(0, 2047), min_size=2, max_size=12,
+                        unique=True),
+       removed=st.one_of(st.none(), st.integers(0, 11)),
+       masked=st.booleans())
+def test_scan_equals_blocked_scan_on_reference_universe(members, removed,
+                                                        masked):
+    # greedy bases (subset sums) and swap bases (one member taken out)
+    parts, factors = reference_terms()
+    base = parts[members[0]].copy()
+    for c in members[1:]:
+        base += parts[c]
+    if removed is not None:
+        base = base - parts[members[removed % len(members)]]
+    assert_scan_equals_blocked(base, parts, factors,
+                               members if masked else [])
+
+
+@st.composite
+def tied_universes(draw):
+    """Small universes in which every candidate appears twice (exact ties),
+    with a base summed from some of them."""
+    n_alts = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(_exit_rows, min_size=n_alts,
+                                  max_size=n_alts),
+                         min_size=1, max_size=6))
+    rows = rows + rows
+    candidates = [Scenario(id=i + 1, alternatives=tuple(
+        (label, ExitAttributes(*row)) for label, row in zip("ABC", alts)))
+        for i, alts in enumerate(rows)]
+    attrs = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1,
+                          max_size=3, unique=True))
+    spec = ModelSpec.from_attributes(*attrs)
+    priors = np.array(draw(st.lists(st.floats(-1.0, 1.0),
+                                    min_size=spec.n_params,
+                                    max_size=spec.n_params)))
+    members = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                            max_size=8))
+    return candidates, spec, priors, members, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_universes())
+def test_scan_equals_blocked_scan_with_duplicated_candidates(universe):
+    candidates, spec, priors, members, masked = universe
+    parts, factors = _candidate_terms(candidates, spec, priors, 0)
+    base = parts[members].sum(axis=0)
+    taken = sorted(set(members)) if masked else []
+    got, _ = assert_scan_equals_blocked(base, parts, factors, taken)
+    # a duplicate scores bitwise what its original scores
+    half = len(candidates) // 2
+    for c in range(half):
+        if c not in taken and c + half not in taken:
+            assert got[c] == got[c + half]
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(st.integers(0, 2047), min_size=1, max_size=8,
+                        unique=True),
+       ratio=st.one_of(st.just(0.0), st.floats(1e-14, 0.5 * _SCREEN_RTOL),
+                       st.floats(2 * _SCREEN_RTOL, 1e-4)))
+def test_scan_fallback_on_singular_and_near_singular_bases(members, ratio):
+    # one scenario has rank 2 < K; otherwise lambda_min is set to ratio times
+    # lambda_max, on both sides of the screen's threshold
+    parts, factors = reference_terms()
+    info = parts[members].sum(axis=0)
+    lam, vec = np.linalg.eigh(info)
+    lam[0] = ratio * lam[-1]
+    base = (vec * lam) @ vec.T
+    base = (base + base.T) / 2
+    got, want = assert_scan_equals_blocked(base, parts, factors, [])
+    low, high = np.linalg.eigvalsh(base)[[0, -1]]
+    if low <= _SCREEN_RTOL * high:
+        # the full scan itself: every candidate scored exactly
+        assert got.tolist() == want.tolist()
+
+
+def test_scan_fallback_when_a_confirmed_candidate_is_singular():
+    # the screen's best candidate swamps the base: base + part is singular
+    # by the relative rank rule although the lemma scores it finite
+    spec = ModelSpec((("np", False), ("dist", False)))
+    candidates = [two_exit_scenario(1, (0, 0.0, 0, 0), (1, 0.0, 0, 0)),
+                  two_exit_scenario(2, (0, 0.0, 0, 0), (0, 1.0, 0, 0)),
+                  two_exit_scenario(3, (0, 0.0, 0, 0), (1e7, 0.0, 0, 0))]
+    parts, factors = _candidate_terms(candidates, spec, np.zeros(2), 0)
+    base = parts[0] + parts[1]
+    got, want = assert_scan_equals_blocked(base, parts, factors, [])
+    assert math.isinf(want[2])
+    assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("iterations", [0, -1])
