@@ -36,19 +36,23 @@ def _print_inference(rows, fit) -> None:
           f"converged {fit.converged}  iterations {fit.iterations}")
 
 
+def _with_flags(options: dict, **flags) -> dict:
+    """Checked config options with the flags that were given laid over them;
+    an option set by neither takes the library function's default."""
+    return {**options, **{k: v for k, v in flags.items() if v is not None}}
+
+
 def cmd_estimate(args) -> int:
     data = io.read_choice_csv(args.data)
     cfg = io.load_config(args.config) if args.config else {"version": 1}
-    if cfg.get("model") is not None:
+    if "model" in cfg:
         spec = io.model_from_config(cfg)
     else:
         spec = ModelSpec.from_attributes(*ATTRIBUTES)
-    options = io.estimate_options(cfg)
-    tol = args.tol if args.tol is not None else options.get("tol", 1e-6)
-    max_iter = (args.max_iter if args.max_iter is not None
-                else options.get("max_iter", 100))
+    options = _with_flags(io.estimate_options(cfg), tol=args.tol,
+                          max_iter=args.max_iter)
 
-    fit = fit_mnl(data, spec, tol=tol, max_iter=max_iter)
+    fit = fit_mnl(data, spec, **options)
     if not fit.converged:
         print(f"error: no convergence in {fit.iterations} iterations "
               f"(gradient norm {fit.gradient_norm:.3e})", file=sys.stderr)
@@ -67,17 +71,13 @@ def cmd_design(args) -> int:
     spec = io.model_from_config(cfg)
     levels = io.levels_from_config(cfg)
     priors = io.priors_from_config(cfg, spec)
-    options = io.design_options(cfg)
-    size = args.size if args.size is not None else options.get("size")
-    if size is None:
+    options = _with_flags(io.design_options(cfg), size=args.size,
+                          seed=args.seed)
+    if "size" not in options:
         raise io.ConfigError("design size missing (set design.size or --size)")
-    seed = args.seed if args.seed is not None else options.get("seed", 0)
 
     candidates = full_factorial(levels)
-    result = search_design(
-        candidates, size, spec, priors, seed=seed,
-        iterations=options.get("iterations", 10),
-        with_replacement=options.get("with_replacement", False))
+    result = search_design(candidates, spec=spec, priors=priors, **options)
     print(f"searched {len(candidates)} candidate scenarios; "
           f"selected {len(result.scenarios)} with d-error "
           f"{result.d_error:.6f}")

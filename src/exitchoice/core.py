@@ -262,14 +262,33 @@ def utilities(spec: ModelSpec, params, scenario: Scenario,
     return spec.design_matrix(scenario, c1) @ beta
 
 
+def _finite_utilities(X: np.ndarray, beta: np.ndarray,
+                      scenarios: Sequence[Scenario]) -> np.ndarray:
+    """``X @ beta``, the utilities of each scenario's alternatives.  A
+    ValueError, and no floating-point warning, names the first scenario with
+    a utility that is not finite.  A padded zero row of ``_ChoiceSets.X`` is
+    not finite only when every utility is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = X @ beta
+    finite = np.isfinite(v).reshape(len(scenarios), -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"scenario {scenarios[int(finite.argmin())].id!r}: a utility is "
+            "not finite; the coefficients are too large for its attributes")
+    return v
+
+
 def choice_probabilities(spec: ModelSpec, params, scenario: Scenario,
                          c1: int = 0) -> np.ndarray:
     """Multinomial-logit choice probabilities for one scenario.
 
     P_i = exp(V_i) / sum_k exp(V_k), computed with max-subtraction so that
-    utilities of any practical magnitude cannot overflow.
+    utilities of any practical magnitude cannot overflow.  A utility that
+    overflows raises ValueError naming the scenario.
     """
-    return softmax(utilities(spec, params, scenario, c1))
+    beta = as_params(spec, params)
+    return softmax(_finite_utilities(spec.design_matrix(scenario, c1), beta,
+                                     [scenario]))
 
 
 class _ChoiceSets:

@@ -13,6 +13,10 @@ exit cell text and, in a choice file, one ``Scenario`` per distinct scenario
 id and alternatives, for the first 4,096 of each.  Every check still runs on
 every row, so each error cites its own line.  The rows of one obs_id must be
 contiguous and agree on participant_id and scenario_id.
+
+One checker, ``_fields``, reads every object of the run config and names
+the dotted key of each error.  The readers return only the options a config
+sets; an omitted one takes the default of the library function that uses it.
 """
 
 from __future__ import annotations
@@ -367,96 +371,86 @@ def write_probabilities_csv(path, rows: Sequence[tuple]) -> None:
 # Run config (JSON with a version key; unknown keys rejected)
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"version", "model", "levels", "priors", "design", "estimate",
-             "sweep", "out"}
-
-
-def _check_keys(mapping, allowed, context) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context}: expected an object")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{context}: unknown key(s) {', '.join(unknown)}")
-
-
-#: How a checked config value of each Python type is described in errors.
+#: How a checked config value of each kind is described in errors.
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
-          str: "a string"}
+          str: "a string", list: "a list", dict: "an object",
+          (str, list): "a string or a list of strings"}
 
 
-def _checked(value, key: str, kind: type):
+def _checked(value, key: str, kind):
     """``value`` if it is a JSON ``kind``: true/false, an integer (not 3.0),
-    a finite number or a string for bool, int, float or str.  A bool is
-    never a number."""
-    if kind is bool or kind is str:
-        ok = isinstance(value, kind)
-    else:
+    a finite number (returned as a float), a string, a list or an object
+    for bool, int, float, str, list or dict.  A bool is never a number."""
+    if kind is int or kind is float:
         ok = (not isinstance(value, bool) and isinstance(value, (int, kind))
               and abs(value) <= sys.float_info.max)
+    else:
+        ok = isinstance(value, kind)
     if not ok:
         raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
-def _options(cfg, section: str, kinds: dict) -> dict:
-    """An optional config section; its keys and their kinds are ``kinds``."""
-    options = cfg.get(section, {})
-    _check_keys(options, kinds, section)
-    for key, value in options.items():
-        _checked(value, f"{section}.{key}", kinds[key])
-    return options
+def _fields(mapping, context: str, kinds: Mapping, required=()) -> dict:
+    """The config object ``mapping`` with each value checked by ``_checked``
+    as its kind in ``kinds``, named ``context.key``.  Keys not in ``kinds``
+    and ``required`` keys that are absent are errors."""
+    _checked(mapping, context, dict)
+    unknown = sorted(set(mapping) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{context}: unknown key(s) {', '.join(unknown)}")
+    missing = [key for key in required if key not in mapping]
+    if missing:
+        raise ConfigError(
+            f"{context}: missing value(s) for {', '.join(missing)}")
+    return {key: _checked(value, f"{context}.{key}", kinds[key])
+            for key, value in mapping.items()}
+
+
+def _section(cfg, name: str):
+    """The ``name`` section of a config, which the command needs."""
+    if name not in cfg:
+        raise ConfigError(f"config is missing the \"{name}\" section")
+    return _checked(cfg[name], f"config.{name}", dict)
 
 
 def load_config(path) -> dict:
-    """Load and structurally validate a run config."""
+    """Load a run config and check its top level: known keys, ``version``
+    the integer 1, ``out`` a string and every section an object."""
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _fields(cfg, "config", {"version": int, "out": str, "model": dict,
+                            "levels": dict, "priors": dict, "design": dict,
+                            "estimate": dict, "sweep": dict})
     if cfg.get("version") != 1:
         raise ConfigError("config must declare \"version\": 1")
     return cfg
 
 
 def model_from_config(cfg) -> ModelSpec:
-    model = cfg.get("model")
-    if model is None:
-        raise ConfigError("config is missing the \"model\" section")
-    _check_keys(model, {"terms"}, "model")
-    raw_terms = model.get("terms")
-    if not isinstance(raw_terms, list) or not raw_terms:
-        raise ConfigError("model.terms must be a nonempty list")
-    terms = []
-    for i, term in enumerate(raw_terms):
-        _check_keys(term, {"attr", "first_choice"}, f"model.terms[{i}]")
-        if "attr" not in term:
-            raise ConfigError(f"model.terms[{i}]: missing \"attr\"")
-        terms.append((term["attr"], _checked(
-            term.get("first_choice", False), f"model.terms[{i}].first_choice",
-            bool)))
+    terms = _fields(_section(cfg, "model"), "model", {"terms": list},
+                    required=("terms",))["terms"]
+    for i, term in enumerate(terms):
+        _fields(term, f"model.terms[{i}]", {"attr": str, "first_choice": bool},
+                required=("attr",))
     try:
-        return ModelSpec(tuple(terms))
+        return ModelSpec(tuple((term["attr"], term.get("first_choice", False))
+                               for term in terms))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
 def levels_from_config(cfg) -> FactorLevels:
-    levels = cfg.get("levels")
-    if levels is None:
-        raise ConfigError("config is missing the \"levels\" section")
-    if not isinstance(levels, dict):
-        raise ConfigError("levels: expected an object of exits")
+    levels = _section(cfg, "levels")
     for label, per_attr in levels.items():
-        _check_keys(per_attr, ATTRIBUTES, f"levels.{label}")
-        for attr, values in per_attr.items():
-            key = f"levels.{label}.{attr}"
-            if not isinstance(values, list):
-                raise ConfigError(
-                    f"{key} must be a list of numbers, got {values!r}")
+        context = f"levels.{label}"
+        for attr, values in _fields(per_attr, context,
+                                    dict.fromkeys(ATTRIBUTES, list)).items():
             for i, value in enumerate(values):
-                _checked(value, f"{key}[{i}]", float)
+                _checked(value, f"{context}.{attr}[{i}]", float)
     try:
         return FactorLevels(levels=levels)
     except ValueError as exc:
@@ -464,71 +458,52 @@ def levels_from_config(cfg) -> FactorLevels:
 
 
 def priors_from_config(cfg, spec: ModelSpec) -> np.ndarray:
-    priors = cfg.get("priors")
-    if priors is None:
-        raise ConfigError("config is missing the \"priors\" section")
     names = spec.coef_names()
-    _check_keys(priors, names, "priors")
-    missing = [n for n in names if n not in priors]
-    if missing:
-        raise ConfigError(f"priors: missing value(s) for {', '.join(missing)}")
-    return np.array([_checked(priors[n], f"priors.{n}", float)
-                     for n in names], dtype=float)
+    priors = _fields(_section(cfg, "priors"), "priors",
+                     dict.fromkeys(names, float), required=names)
+    return np.array([priors[n] for n in names], dtype=float)
 
 
 def design_options(cfg) -> dict:
-    return _options(cfg, "design", {"size": int, "seed": int,
-                                    "iterations": int,
-                                    "with_replacement": bool})
+    """The checked ``design`` section: ``search_design`` keyword arguments."""
+    return _fields(cfg.get("design", {}), "design", {
+        "size": int, "seed": int, "iterations": int, "with_replacement": bool})
 
 
 def estimate_options(cfg) -> dict:
-    return _options(cfg, "estimate", {"tol": float, "max_iter": int})
+    """The checked ``estimate`` section: ``fit_mnl`` keyword arguments."""
+    return _fields(cfg.get("estimate", {}), "estimate",
+                   {"tol": float, "max_iter": int})
 
 
 def sweeps_from_config(cfg) -> list[tuple[str, SensitivityConfig]]:
-    """Build one SensitivityConfig per familiarity condition in the sweep."""
-    sweep = cfg.get("sweep")
-    if sweep is None:
-        raise ConfigError("config is missing the \"sweep\" section")
-    _check_keys(sweep, {"attribute", "start", "stop", "step", "swept_exit",
-                        "fixed_exit", "familiarity", "rule", "alpha"},
-                "sweep")
-    for key in ("attribute", "start", "stop", "step"):
-        if key not in sweep:
-            raise ConfigError(f"sweep: missing \"{key}\"")
-    kinds = {"attribute": str, "start": float, "stop": float, "step": float,
-             "rule": str, "alpha": float}
-    for key, kind in kinds.items():
-        if key in sweep:
-            _checked(sweep[key], f"sweep.{key}", kind)
-    exit_attrs = set(ATTRIBUTES) - {"fam"}
+    """One SensitivityConfig per familiarity condition in the sweep, each
+    with its condition.  A list of conditions must be nonempty and have no
+    repeats; a sweep without one takes the ``SensitivityConfig`` default."""
+    sweep = _fields(_section(cfg, "sweep"), "sweep", {
+        "attribute": str, "start": float, "stop": float, "step": float,
+        "swept_exit": dict, "fixed_exit": dict, "familiarity": (str, list),
+        "rule": str, "alpha": float},
+        required=("attribute", "start", "stop", "step"))
     for side in ("swept_exit", "fixed_exit"):
-        values = sweep.get(side, {})
-        _check_keys(values, exit_attrs, f"sweep.{side}")
-        for attr, value in values.items():
-            _checked(value, f"sweep.{side}.{attr}", float)
-    familiarity = sweep.get("familiarity", "both")
-    if isinstance(familiarity, str):
-        conditions = [familiarity]
-    elif isinstance(familiarity, list):
-        conditions = [_checked(c, f"sweep.familiarity[{i}]", str)
-                      for i, c in enumerate(familiarity)]
-    else:
-        raise ConfigError("sweep.familiarity must be a string or a list of "
-                          f"strings, got {familiarity!r}")
+        if side in sweep:
+            sweep[side] = _fields(sweep[side], f"sweep.{side}", {
+                attr: float for attr in ATTRIBUTES if attr != "fam"})
+    sweep["sweep_attr"] = sweep.pop("attribute")
+    conditions = [{}]
+    if isinstance(sweep.get("familiarity"), list):
+        familiarity = sweep.pop("familiarity")
+        for i, condition in enumerate(familiarity):
+            _checked(condition, f"sweep.familiarity[{i}]", str)
+        if not familiarity or len(set(familiarity)) < len(familiarity):
+            raise ConfigError("sweep.familiarity must be a nonempty list "
+                              f"without repeats, got {familiarity!r}")
+        conditions = [{"familiarity": condition} for condition in familiarity]
     configs = []
     for condition in conditions:
         try:
-            configs.append((condition, SensitivityConfig(
-                sweep_attr=sweep["attribute"],
-                start=float(sweep["start"]), stop=float(sweep["stop"]),
-                step=float(sweep["step"]),
-                swept_exit=sweep.get("swept_exit", {}),
-                fixed_exit=sweep.get("fixed_exit", {}),
-                familiarity=condition,
-                rule=sweep.get("rule", "significant"),
-                alpha=float(sweep.get("alpha", 0.05)))))
+            config = SensitivityConfig(**sweep, **condition)
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
+        configs.append((config.familiarity, config))
     return configs

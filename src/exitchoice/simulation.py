@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (FIRST_SUFFIX, ChoiceObservation, ModelSpec, Scenario,
-                   _ChoiceSets, as_params)
+                   _ChoiceSets, _finite_utilities, as_params)
 from .estimation import two_sided_p
 
 RULES = ("base", "sum", "significant")
@@ -51,7 +51,8 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
     probabilities of its set that are <= its uniform (``searchsorted`` with
     ``side="right"``), capped at the last alternative.  The probabilities
     of each c1 value that has draws come from one ``_ChoiceSets`` over all
-    scenarios and equal ``choice_probabilities`` bitwise.
+    scenarios and equal ``choice_probabilities`` bitwise.  A ValueError
+    names the first scenario with a utility that is not finite.
     """
     if n_per_scenario < 1:
         raise ValueError("n_per_scenario must be >= 1")
@@ -70,6 +71,7 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
         if lo == hi:
             continue
         sets = _ChoiceSets.from_scenarios(scenarios, spec, c1)
+        _finite_utilities(sets.X, beta, scenarios)
         cum = np.cumsum(sets.probabilities(beta), axis=1)
         chosen[:, lo:hi] = np.count_nonzero(
             cum[:, None, :] <= draws[:, lo:hi, None], axis=2)
@@ -154,6 +156,8 @@ class SensitivityConfig:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("sweep step must be > 0")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if self.stop < self.start:
             raise ValueError("empty sweep range (stop < start)")
         if self.familiarity not in FAMILIARITY:

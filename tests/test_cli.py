@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line tool (in-process via main)."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -387,3 +389,81 @@ def test_estimate_string_flag_in_config_exit_2(tmp_path, params2,
         "model": {"terms": [{"attr": "np", "first_choice": "false"}]}}))
     assert main(["estimate", "--data", str(sim), "--config", str(config)]) == 2
     assert "model.terms[0].first_choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [1, True])
+def test_design_non_string_out_exit_2(tmp_path, capfd, out):
+    config = Path(small_design_config(tmp_path, {"np": 0.1, "smoke": -1.0},
+                                      {"size": 3}))
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "out": out}))
+    assert main(["design", "--config", str(config)]) == 2
+    printed, err = capfd.readouterr()
+    assert "config.out" in err
+    assert printed == ""
+
+
+def test_estimate_non_string_out_exit_2(tmp_path, params2, scenarios_csv,
+                                        capsys):
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--params", params2, "--scenarios", scenarios_csv,
+                 "--n", "5", "--out", str(sim)]) == 0
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"version": 1, "out": ["x"]}))
+    assert main(["estimate", "--data", str(sim), "--config", str(config)]) == 2
+    assert "config.out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, named", [
+    ({"familiarity": []}, "sweep.familiarity"),
+    ({"familiarity": ["A", "A"]}, "sweep.familiarity"),
+    ({"alpha": 2}, "alpha"), ({"alpha": -1}, "alpha"),
+])
+def test_sensitivity_result_changing_sweep_exit_2(tmp_path, params2, capsys,
+                                                  option, named):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "sweep": {"attribute": "np", "start": 0, "stop": 10, "step": 0.5,
+                  "familiarity": ["A", "B"], **option}}))
+    out = tmp_path / "curve.csv"
+    assert main(["sensitivity", "--params", params2, "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def overflowing_params(tmp_path):
+    return write_params(tmp_path / "huge.csv",
+                        {"np": (1e308, 0.1), "dist": (1e308, 0.1)})
+
+
+def test_predict_overflowing_utility_exit_2(tmp_path, overflowing_params,
+                                            scenarios_csv, capsys):
+    out = tmp_path / "probs.csv"
+    assert main(["predict", "--params", overflowing_params, "--scenarios",
+                 scenarios_csv, "--out", str(out)]) == 2
+    assert "scenario '1': a utility is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_overflowing_utility_exit_2(tmp_path, overflowing_params,
+                                             scenarios_csv, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--params", overflowing_params, "--scenarios",
+                 scenarios_csv, "--n", "3", "--out", str(out)]) == 2
+    assert "scenario '1': a utility is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_run_config_runs(tmp_path, params2):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+    config = tmp_path / "run.json"
+    config.write_text(block)
+    assert main(["design", "--config", str(config),
+                 "--out", str(tmp_path / "design.csv")]) == 0
+    assert main(["sensitivity", "--params", params2, "--config", str(config),
+                 "--out", str(tmp_path / "curves.csv")]) == 0

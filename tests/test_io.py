@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
-                        Scenario, generate_dataset)
+                        Scenario, SensitivityConfig, generate_dataset)
 from exitchoice import io
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
@@ -587,8 +587,19 @@ def write_config(tmp_path, cfg):
 
 
 def test_config_requires_version(tmp_path):
-    with pytest.raises(io.ConfigError, match="version"):
-        io.load_config(write_config(tmp_path, {"model": {}}))
+    for cfg in ({"model": {}}, {"version": 2}, {"version": True},
+                {"version": 1.0}):
+        with pytest.raises(io.ConfigError, match="version"):
+            io.load_config(write_config(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out", 1), ("out", True), ("out", ["x"]), ("priors", None),
+    ("model", []), ("sweep", "np"),
+])
+def test_config_top_level_kinds_checked_at_load(tmp_path, key, value):
+    with pytest.raises(io.ConfigError, match=rf"config\.{key} must be"):
+        io.load_config(write_config(tmp_path, {"version": 1, key: value}))
 
 
 def test_config_unknown_top_level_key(tmp_path):
@@ -679,6 +690,14 @@ def test_config_sweep_conditions(tmp_path):
     assert all(sc.sweep_attr == "np" for _, sc in sweeps)
 
 
+def test_config_sweep_omitted_options_take_library_defaults(tmp_path):
+    cfg = io.load_config(write_config(tmp_path, {
+        "version": 1,
+        "sweep": {"attribute": "np", "start": 0, "stop": 10, "step": 1}}))
+    assert io.sweeps_from_config(cfg) == [("both", SensitivityConfig(
+        sweep_attr="np", start=0.0, stop=10.0, step=1.0))]
+
+
 def test_config_sweep_rejects_fam_in_exit(tmp_path):
     cfg = io.load_config(write_config(tmp_path, {
         "version": 1,
@@ -699,6 +718,8 @@ def test_config_sweep_rejects_fam_in_exit(tmp_path):
     ("familiarity", 3, "sweep.familiarity"),
     ("familiarity", {"A": 1}, "sweep.familiarity"),
     ("familiarity", ["A", None], "sweep.familiarity[1]"),
+    ("familiarity", [], "sweep.familiarity"),
+    ("familiarity", ["A", "A"], "sweep.familiarity"),
 ])
 def test_config_sweep_value_types(tmp_path, key, value, named):
     sweep = {"attribute": "np", "start": 0, "stop": 10, "step": 0.5,

@@ -351,3 +351,10 @@ def test_sensitivity_config_validation():
     with pytest.raises(ValueError, match="not in the model"):
         sensitivity_curve({"np": (0.2, 0.1)}, SensitivityConfig(
             sweep_attr="dist", start=0, stop=1, step=1))
+
+
+@pytest.mark.parametrize("alpha", [2, 1, 0, -1, float("nan")])
+def test_sensitivity_config_alpha_in_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        SensitivityConfig(sweep_attr="np", start=0, stop=1, step=1,
+                          alpha=alpha)
