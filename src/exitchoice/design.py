@@ -30,8 +30,8 @@ after:
 * **Fallback.**  A base whose smallest eigenvalue is at most
   ``_SCREEN_RTOL`` (1e-8) times its largest (the greedy steps before the
   design reaches rank K), a failed ``eigh``, or a confirmed candidate that
-  scores +inf sends the step to the full scan: ``base + parts`` in blocks of
-  ``_BLOCK`` candidates, one stacked ``eigvalsh`` call per block.
+  scores +inf has the step score every candidate exactly: ``base + parts``
+  in one stacked ``eigvalsh`` call, the same call that confirms.
 
 Either way the step sees the same minimum and first argmin as scoring one
 candidate at a time, so designs and D-errors are bitwise unchanged by the
@@ -59,12 +59,8 @@ from .estimation import NotIdentifiedError
 #: treated as singular.
 _RANK_RTOL = 1e-10
 
-#: Candidates scored per stacked ``eigvalsh`` call in the full scan; bounds
-#: its scratch stack at ``_BLOCK`` x K x K.
-_BLOCK = 256
-
 #: A base whose smallest eigenvalue is at most this times its largest is not
-#: screened; the step takes the full scan.
+#: screened; the step scores every candidate exactly.
 _SCREEN_RTOL = 1e-8
 
 #: Screened determinants within this relative distance of the best are
@@ -219,19 +215,6 @@ def _candidate_terms(candidates: Sequence[Scenario], spec: ModelSpec,
     return sets._information(p), factors
 
 
-def _full_scan(base: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """D-error of ``base + parts[c]`` for every candidate c, in blocks of
-    ``_BLOCK`` candidates per stacked ``eigvalsh`` call."""
-    n, k = len(parts), parts.shape[1]
-    scratch = np.empty((min(n, _BLOCK), k, k))
-    d = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        d[lo:hi] = _d_errors(
-            np.add(base, parts[lo:hi], out=scratch[:hi - lo]), k)
-    return d
-
-
 def _lemma_determinants(base: np.ndarray, factors: np.ndarray
                         ) -> tuple[np.ndarray, float] | None:
     """det(I_J + A_c B^-1 A_c^T) for every candidate c, and cond(B).
@@ -270,24 +253,23 @@ def _scan(base: np.ndarray, parts: np.ndarray, factors: np.ndarray,
 
     Screens with the determinant lemma and re-scores exactly only the
     candidates near the screened best; every other candidate scores +inf.
-    The minimum over the candidates not taken, and the lowest index that
-    attains it, are those of ``_full_scan``, which this falls back to when
-    the base cannot be screened or a confirmed candidate is singular.
+    A base that cannot be screened, or a near-tie that scores singular,
+    has every candidate scored exactly.  Either way the minimum over the
+    candidates not taken, and the lowest index that attains it, are those
+    of scoring every candidate.
     """
+    k = parts.shape[1]
+    keep = slice(None)
     screened = _lemma_determinants(base, factors)
     if screened is not None:
         det, cond = screened
         det[taken] = -math.inf
-        k = parts.shape[1]
         rtol = _CONFIRM_RTOL + 4 * k * np.finfo(float).eps * cond
         keep = np.flatnonzero(det >= det.max() * (1.0 - rtol))
-        exact = _d_errors(base + parts[keep], k)
-        if not np.isinf(exact).any():
-            d = np.full(len(parts), math.inf)
-            d[keep] = exact
-            d[taken] = math.inf
-            return d
-    d = _full_scan(base, parts)
+    d = np.full(len(parts), math.inf)
+    d[keep] = _d_errors(base + parts[keep], k)
+    if screened is not None and np.isinf(d[keep]).any():
+        d = _d_errors(base + parts, k)
     d[taken] = math.inf
     return d
 

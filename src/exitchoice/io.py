@@ -414,12 +414,24 @@ def _section(cfg, name: str):
     return _checked(cfg[name], f"config.{name}", dict)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key/value pairs; a repeated key is an error,
+    where ``json`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
-    """Load a run config and check its top level: known keys, ``version``
-    the integer 1, ``out`` a string and every section an object."""
+    """Load a run config and check its top level: no key repeated in any
+    object, known keys, ``version`` the integer 1, ``out`` a string and
+    every section an object."""
     with open(path, encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _fields(cfg, "config", {"version": int, "out": str, "model": dict,

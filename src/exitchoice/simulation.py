@@ -96,21 +96,28 @@ def effective_coefficients(params: Mapping, rule: str = "significant",
     suffix.  Rules: "base" keeps base coefficients only, "sum" adds every
     interaction, "significant" adds an interaction only when its two-sided
     p-value is below ``alpha`` (this requires its standard error).
+    ``alpha`` must lie in (0, 1), every estimate must be finite and every
+    given standard error finite and positive; otherwise a ValueError.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    _check_alpha(alpha)
 
-    def split(value):
-        if isinstance(value, (tuple, list)):
-            est, se = value
-            return float(est), (None if se is None else float(se))
-        return float(value), None
+    def split(name, value):
+        est, se = value if isinstance(value, (tuple, list)) else (value, None)
+        if not math.isfinite(float(est)):
+            raise ValueError(
+                f"estimate of {name!r} must be finite, got {est!r}")
+        if se is not None and not 0 < float(se) < math.inf:
+            raise ValueError(f"std_error of {name!r} must be finite and "
+                             f"> 0, got {se!r}")
+        return float(est), (None if se is None else float(se))
 
     effective: dict[str, float] = {}
     for name, value in params.items():
         if name.endswith(FIRST_SUFFIX):
             continue
-        est, _ = split(value)
+        est, _ = split(name, value)
         effective[name] = est
     for name, value in params.items():
         if not name.endswith(FIRST_SUFFIX):
@@ -118,7 +125,7 @@ def effective_coefficients(params: Mapping, rule: str = "significant",
         attr = name[: -len(FIRST_SUFFIX)]
         if attr not in effective:
             raise ValueError(f"interaction {name!r} has no base coefficient")
-        est, se = split(value)
+        est, se = split(name, value)
         if rule == "base":
             continue
         if rule == "sum":
@@ -130,6 +137,11 @@ def effective_coefficients(params: Mapping, rule: str = "significant",
         if two_sided_p(est / se) < alpha:
             effective[attr] += est
     return effective
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -156,8 +168,7 @@ class SensitivityConfig:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("sweep step must be > 0")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.stop < self.start:
             raise ValueError("empty sweep range (stop < start)")
         if self.familiarity not in FAMILIARITY:

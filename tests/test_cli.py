@@ -403,6 +403,25 @@ def test_design_non_string_out_exit_2(tmp_path, capfd, out):
     assert printed == ""
 
 
+@pytest.mark.parametrize("repeated, key", [
+    ('"design": {"size": 2}, "design": {"size": 3}', "design"),
+    ('"design": {"size": 2, "size": 3}', "size"),
+], ids=["section", "design.size"])
+def test_design_repeated_config_key_exit_2(tmp_path, capfd, repeated, key):
+    # json alone keeps the last value of a repeated key
+    config = Path(small_design_config(tmp_path, {"np": 0.1, "smoke": -1.0},
+                                      {"size": 2}))
+    config.write_text(config.read_text().replace('"design": {"size": 2}',
+                                                 repeated))
+    assert repeated in config.read_text()
+    out = tmp_path / "design.csv"
+    assert main(["design", "--config", str(config), "--out", str(out)]) == 2
+    printed, err = capfd.readouterr()
+    assert f"config repeats the key '{key}'" in err
+    assert printed == ""
+    assert not out.exists()
+
+
 def test_estimate_non_string_out_exit_2(tmp_path, params2, scenarios_csv,
                                         capsys):
     sim = tmp_path / "sim.csv"

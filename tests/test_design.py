@@ -15,8 +15,8 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         full_factorial, hessian, search_design, softmax)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
-from exitchoice.design import (_BLOCK, _RANK_RTOL, _SCREEN_RTOL,
-                               _candidate_terms, _d_errors, _scan)
+from exitchoice.design import (_RANK_RTOL, _SCREEN_RTOL, _candidate_terms,
+                               _d_errors, _scan)
 
 POOLED_PRIORS = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -251,6 +251,18 @@ def test_search_over_full_experiment_universe_other_sizes(size, ids, d):
                            seed=0, iterations=2)
     assert [s.id for s in result.scenarios] == ids
     assert result.d_error == d
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_benchmark_design(seed):
+    # pinned: the benchmark's design, size 8 with the default 10 restarts,
+    # as the full blocked scan found it
+    candidates = full_factorial(ref.EXPERIMENT_LEVELS)
+    result = search_design(candidates, 8, ref.POOLED_SPEC, POOLED_PRIORS,
+                           seed=seed)
+    assert [s.id for s in result.scenarios] == [61, 241, 493, 497, 1597,
+                                                1762, 1766, 1841]
+    assert result.d_error == 0.1606121958999176
 
 
 def test_search_unidentifiable_raises():
@@ -504,12 +516,12 @@ def test_search_all_singular_step_picks_lowest_free_candidate():
 
 def blocked_scan(base, parts, k):
     """Reference: D-error of ``base + parts[c]`` for every candidate c, one
-    stacked ``eigvalsh`` call per block of ``_BLOCK`` candidates."""
-    n = len(parts)
-    scratch = np.empty((min(n, _BLOCK), k, k))
+    stacked ``eigvalsh`` call per block of 256 candidates."""
+    n, block = len(parts), 256
+    scratch = np.empty((min(n, block), k, k))
     d = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         d[lo:hi] = _d_errors(
             np.add(base, parts[lo:hi], out=scratch[:hi - lo]), k)
     return d

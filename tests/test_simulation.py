@@ -1,5 +1,6 @@
 """Tests for choice sampling, dataset generation and sensitivity curves."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         fit_mnl, generate_dataset, sensitivity_curve,
                         utilities)
 from exitchoice import reference as ref
+from exitchoice.simulation import RULES
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))
@@ -264,6 +266,17 @@ def test_effective_coefficients_validation():
         effective_coefficients({"np:first": (0.2, 0.1)})
     plain = effective_coefficients({"np": 0.1, "np:first": 0.2}, rule="sum")
     assert plain["np"] == pytest.approx(0.3)
+    # finite estimates and standard errors, as read_params_csv requires
+    for name, rule in itertools.product(("np", "np:first"), RULES):
+        params = {"np": (0.1, 0.05), "np:first": (0.2, 0.1)}
+        for se in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"std_error of '{name}' must be finite"):
+                effective_coefficients({**params, name: (0.3, se)}, rule)
+        for est in (math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"estimate of '{name}' must be finite"):
+                effective_coefficients({**params, name: est}, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +368,10 @@ def test_sensitivity_config_validation():
 
 @pytest.mark.parametrize("alpha", [2, 1, 0, -1, float("nan")])
 def test_sensitivity_config_alpha_in_unit_interval(alpha):
+    # both entry points, whatever the rule
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
         SensitivityConfig(sweep_attr="np", start=0, stop=1, step=1,
                           alpha=alpha)
+    for rule in RULES:
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            effective_coefficients(ref.FIRST_CHOICE_ESTIMATES, rule, alpha)
