@@ -226,7 +226,7 @@ def as_params(spec: ModelSpec, values: Iterable[float]) -> np.ndarray:
     """Validate and convert a coefficient vector for ``spec``.
 
     Raises ValueError when the length does not match the spec's coefficient
-    count.
+    count, or naming the first coefficient that is not finite.
     """
     params = np.asarray(list(values) if not isinstance(values, np.ndarray)
                         else values, dtype=float)
@@ -234,6 +234,11 @@ def as_params(spec: ModelSpec, values: Iterable[float]) -> np.ndarray:
         raise ValueError(
             f"parameter vector has length {params.size}, spec expects "
             f"{spec.n_params} ({', '.join(spec.coef_names())})")
+    finite = np.isfinite(params)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise ValueError(f"coefficient {spec.coef_names()[k]} must be "
+                         f"finite, got {float(params[k])}")
     return params
 
 
@@ -262,33 +267,18 @@ def utilities(spec: ModelSpec, params, scenario: Scenario,
     return spec.design_matrix(scenario, c1) @ beta
 
 
-def _finite_utilities(X: np.ndarray, beta: np.ndarray,
-                      scenarios: Sequence[Scenario]) -> np.ndarray:
-    """``X @ beta``, the utilities of each scenario's alternatives.  A
-    ValueError, and no floating-point warning, names the first scenario with
-    a utility that is not finite.  A padded zero row of ``_ChoiceSets.X`` is
-    not finite only when every utility is not."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = X @ beta
-    finite = np.isfinite(v).reshape(len(scenarios), -1).all(axis=1)
-    if not finite.all():
-        raise ValueError(
-            f"scenario {scenarios[int(finite.argmin())].id!r}: a utility is "
-            "not finite; the coefficients are too large for its attributes")
-    return v
-
-
 def choice_probabilities(spec: ModelSpec, params, scenario: Scenario,
                          c1: int = 0) -> np.ndarray:
     """Multinomial-logit choice probabilities for one scenario.
 
-    P_i = exp(V_i) / sum_k exp(V_k), computed with max-subtraction so that
-    utilities of any practical magnitude cannot overflow.  A utility that
-    overflows raises ValueError naming the scenario.
+    P_i = exp(V_i) / sum_k exp(V_k), from the kernel ``_ChoiceSets`` with
+    max-subtraction; bitwise ``softmax(spec.design_matrix(scenario, c1) @
+    beta)``.  A utility that is not finite raises ValueError naming the
+    scenario.
     """
     beta = as_params(spec, params)
-    return softmax(_finite_utilities(spec.design_matrix(scenario, c1), beta,
-                                     [scenario]))
+    return _ChoiceSets.from_scenarios([scenario], spec, c1).probabilities(
+        beta)[0]
 
 
 class _ChoiceSets:
@@ -309,11 +299,20 @@ class _ChoiceSets:
     expands it column by column with ``ModelSpec._expand``, the rule
     ``design_matrix`` uses, so ``X`` is bitwise the stacked design
     matrices.
+
+    ``scenarios`` holds the scenario of each set.  Probabilities and
+    informations are checked: a ValueError, and no floating-point warning,
+    names the scenario of the first set with a utility or an information
+    that is not finite.  The log-likelihood is not checked, so that a
+    Newton step that overshoots sees -inf or nan and is halved.
     """
 
-    __slots__ = ("X", "D", "avail", "counts")
+    __slots__ = ("scenarios", "X", "D", "avail", "counts")
 
     def __init__(self, sets: Sequence[tuple], spec: ModelSpec):
+        # The scenarios, not the (scenario, c1) pairs: keeping a pair per
+        # set alive adds full garbage collections to a fit of many sets.
+        self.scenarios = [s for s, _ in sets]
         sizes = np.fromiter((len(s.alternatives) for s, _ in sets),
                             dtype=np.intp, count=len(sets))
         j_max = int(sizes.max())
@@ -356,9 +355,22 @@ class _ChoiceSets:
         sets.counts[:, 0] = 1.0
         return sets
 
+    def _check(self, values: np.ndarray, problem: str) -> None:
+        """Raise ValueError(problem) naming the scenario of the first set
+        whose ``values`` (G, ...) are not all finite."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            g = int(finite.reshape(len(finite), -1).all(axis=1).argmin())
+            raise ValueError(f"scenario {self.scenarios[g].id!r}: {problem}")
+
     def probabilities(self, beta: np.ndarray) -> np.ndarray:
-        """Choice probabilities per set, zero on padded slots."""
-        v = np.where(self.avail, self.X @ beta, -np.inf)
+        """Choice probabilities per set, zero on padded slots.  A padded
+        zero row has a finite utility, as ``beta`` is finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.X @ beta
+        self._check(v, "a utility is not finite; the coefficients are too "
+                    "large for its attributes")
+        v = np.where(self.avail, v, -np.inf)
         e = np.exp(v - v.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
@@ -375,15 +387,19 @@ class _ChoiceSets:
         return self._information(self.probabilities(beta))
 
     def _information(self, p: np.ndarray) -> np.ndarray:
-        dbar = (p[:, None, :] @ self.D)[:, 0]
-        info = np.einsum("gj,gjk,gjl->gkl", p, self.D, self.D)
-        # Row by row and pair by pair: the values of whole-array expressions
-        # without their two (G, K, K) temporaries (peak memory of a search).
-        for k in range(info.shape[1]):
-            info[:, k] -= dbar[:, k, None] * dbar
-        for k, l in zip(*np.triu_indices(info.shape[1], 1)):
-            info[:, k, l] = info[:, l, k] = (info[:, k, l]
-                                             + info[:, l, k]) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            dbar = (p[:, None, :] @ self.D)[:, 0]
+            info = np.einsum("gj,gjk,gjl->gkl", p, self.D, self.D)
+            # Row by row and pair by pair: the values of whole-array
+            # expressions without their two (G, K, K) temporaries (peak
+            # memory of a search).
+            for k in range(info.shape[1]):
+                info[:, k] -= dbar[:, k, None] * dbar
+            for k, l in zip(*np.triu_indices(info.shape[1], 1)):
+                info[:, k, l] = info[:, l, k] = (info[:, k, l]
+                                                 + info[:, l, k]) / 2.0
+        self._check(info, "its information is not finite; its attributes "
+                    "are too large")
         return info
 
     def score_hessian(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (FIRST_SUFFIX, ChoiceObservation, ModelSpec, Scenario,
-                   _ChoiceSets, _finite_utilities, as_params)
+                   _ChoiceSets, as_params)
 from .estimation import two_sided_p
 
 RULES = ("base", "sum", "significant")
@@ -51,8 +51,9 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
     probabilities of its set that are <= its uniform (``searchsorted`` with
     ``side="right"``), capped at the last alternative.  The probabilities
     of each c1 value that has draws come from one ``_ChoiceSets`` over all
-    scenarios and equal ``choice_probabilities`` bitwise.  A ValueError
-    names the first scenario with a utility that is not finite.
+    scenarios, the kernel ``choice_probabilities`` uses, which raises the
+    ValueError naming the first scenario with a utility that is not
+    finite.
     """
     if n_per_scenario < 1:
         raise ValueError("n_per_scenario must be >= 1")
@@ -71,7 +72,6 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
         if lo == hi:
             continue
         sets = _ChoiceSets.from_scenarios(scenarios, spec, c1)
-        _finite_utilities(sets.X, beta, scenarios)
         cum = np.cumsum(sets.probabilities(beta), axis=1)
         chosen[:, lo:hi] = np.count_nonzero(
             cum[:, None, :] <= draws[:, lo:hi, None], axis=2)

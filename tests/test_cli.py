@@ -2,11 +2,12 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from exitchoice import io
+from exitchoice import ChoiceObservation, Scenario, io
 from exitchoice import reference as ref
 from exitchoice.cli import main
 
@@ -474,6 +475,60 @@ def test_simulate_overflowing_utility_exit_2(tmp_path, overflowing_params,
                  scenarios_csv, "--n", "3", "--out", str(out)]) == 2
     assert "scenario '1': a utility is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_estimate_overflowing_information_exit_2(tmp_path, capsys):
+    # a finite occupancy of 1e300 at one exit of scenario 3: its utilities
+    # at the zero start are finite, its information is not
+    battery = list(ref.EXPERIMENT_SCENARIOS)
+    huge = battery[2]
+    battery[2] = Scenario(id=huge.id, alternatives=(
+        (huge.labels[0], replace(huge.alternatives[0][1], np=1e300)),
+        *huge.alternatives[1:]))
+    data = tmp_path / "huge.csv"
+    io.write_choice_csv(data, [
+        ChoiceObservation(participant_id=f"p{i}", scenario=s, chosen=i % 3)
+        for i, s in enumerate(battery * 3)])
+    assert main(["estimate", "--data", str(data)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario '{huge.id}': its information is not finite; its "
+        "attributes are too large\n")
+
+
+def reference_design_config(tmp_path, np_levels_a, prior_np):
+    """The reference design config with exit A's occupancy levels and the
+    occupancy prior replaced."""
+    levels = {label: {attr: list(values) for attr, values in per.items()}
+              for label, per in ref.EXPERIMENT_LEVELS.levels.items()}
+    levels["A"]["np"] = np_levels_a
+    priors = {name: est for name, (est, _) in ref.POOLED_ESTIMATES.items()}
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": a} for a, _ in ref.POOLED_SPEC.terms]},
+        "levels": levels, "priors": {**priors, "np": prior_np},
+        "design": {"size": 8}}))
+    return str(config)
+
+
+def test_design_overflowing_utility_exit_2(tmp_path, capsys):
+    # candidate 1537 is the first with exit A at np = 1e308: 10 * 1e308
+    # overflows
+    config = reference_design_config(tmp_path, [0, 1, 5, 1e308], 10)
+    assert main(["design", "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario 1537: a utility is not finite; the coefficients "
+        "are too large for its attributes\n")
+
+
+def test_design_huge_finite_levels_still_search(tmp_path, capsys):
+    # np levels up to 1e300 at the reference prior keep every candidate's
+    # information finite
+    config = reference_design_config(
+        tmp_path, [0, 1, 5, 1e300], ref.POOLED_ESTIMATES["np"][0])
+    assert main(["design", "--config", config]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "searched 2048 candidate scenarios; selected 8 with d-error 0.171679")
 
 
 def test_readme_run_config_runs(tmp_path, params2):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         ModelSpec, Scenario, as_params, choice_probabilities,
-                        softmax, systematic_utility, utilities)
+                        d_error, fisher_information, fit_mnl,
+                        generate_dataset, gradient, hessian, log_likelihood,
+                        search_design, softmax, systematic_utility, utilities)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
 
@@ -205,6 +207,56 @@ def test_model_spec_from_coef_names_roundtrip():
     assert rebuilt == spec
     with pytest.raises(ValueError, match="without base"):
         ModelSpec.from_coef_names(["np", "dist:first"])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficient_rejected_by_every_entry_point(bad):
+    spec = ref.POOLED_SPEC
+    beta = [0.1, -0.3, bad, 0.5]
+    battery = list(ref.EXPERIMENT_SCENARIOS)
+    scenario = battery[0]
+    data = [ChoiceObservation(participant_id=i, scenario=s, chosen=i % 3)
+            for i, s in enumerate(battery)]
+    entry_points = {
+        "as_params": lambda: as_params(spec, beta),
+        "systematic_utility": lambda: systematic_utility(
+            spec, beta, scenario.alternatives[0][1]),
+        "utilities": lambda: utilities(spec, beta, scenario),
+        "choice_probabilities": lambda: choice_probabilities(
+            spec, beta, scenario),
+        "log_likelihood": lambda: log_likelihood(data, spec, beta),
+        "gradient": lambda: gradient(data, spec, beta),
+        "hessian": lambda: hessian(data, spec, beta),
+        "fit_mnl": lambda: fit_mnl(data, spec, init=beta),
+        "fisher_information": lambda: fisher_information(battery, spec, beta),
+        "d_error": lambda: d_error(battery, spec, beta),
+        "search_design": lambda: search_design(battery, 4, spec, beta),
+        "generate_dataset": lambda: generate_dataset(spec, beta, battery, 2),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == \
+            f"coefficient smoke must be finite, got {bad}", name
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from([ref.POOLED_SPEC, ref.FIRST_CHOICE_SPEC]),
+       c1=st.integers(0, 1),
+       rows=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 8.0),
+                               st.integers(0, 1), st.integers(0, 1)),
+                     min_size=2, max_size=11),
+       data=st.data())
+def test_choice_probabilities_equal_softmax_reference_bitwise(spec, c1, rows,
+                                                              data):
+    beta = np.array(data.draw(st.lists(
+        st.floats(-3.0, 3.0), min_size=spec.n_params,
+        max_size=spec.n_params)))
+    scenario = Scenario(id=1, alternatives=tuple(
+        (f"E{j}", ExitAttributes(*row)) for j, row in enumerate(rows)))
+    want = softmax(spec.design_matrix(scenario, c1) @ beta)
+    np.testing.assert_array_equal(
+        choice_probabilities(spec, beta, scenario, c1), want)
 
 
 def test_as_params_accepts_iterables():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         FactorLevels, ModelSpec, NotIdentifiedError, Scenario,
-                        choice_probabilities, d_error, fisher_information,
-                        full_factorial, hessian, search_design, softmax)
+                        d_error, fisher_information, full_factorial, hessian,
+                        search_design, softmax)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
 from exitchoice.design import (_RANK_RTOL, _SCREEN_RTOL, _candidate_terms,
@@ -161,6 +161,22 @@ def test_constant_smoke_design_is_singular_for_smoke_term():
     scenarios = [two_exit_scenario(1, (0, 0, 1, 0), (5, 0, 1, 0)),
                  two_exit_scenario(2, (2, 0, 0, 0), (7, 0, 0, 0))]
     assert d_error(scenarios, spec, [0.1, -0.5]) == math.inf
+
+
+@pytest.mark.parametrize("np_b, prior_np, problem", [
+    (1e308, 10.0, "a utility is not finite"),
+    (1e300, 0.0, "its information is not finite"),
+])
+def test_overflow_raises_naming_scenario(np_b, prior_np, problem):
+    spec = ModelSpec((("np", False), ("smoke", False)))
+    design = [two_exit_scenario(1, (0, 0, 1, 0), (5, 0, 0, 0)),
+              two_exit_scenario(2, (2, 0, 0, 0), (np_b, 0, 1, 0))]
+    priors = [prior_np, -0.5]
+    for score in (fisher_information, d_error):
+        with pytest.raises(ValueError, match=f"^scenario 2: {problem}"):
+            score(design, spec, priors)
+    with pytest.raises(ValueError, match=f"^scenario 2: {problem}"):
+        search_design(design * 2, 2, spec, priors)
 
 
 def test_d_error_positive_and_permutation_invariant():
@@ -329,7 +345,7 @@ def test_kernel_information_equals_scenario_reference_bitwise(spec, priors,
     np.testing.assert_array_equal(info, want)
     np.testing.assert_array_equal(
         sets.probabilities(beta),
-        np.stack([choice_probabilities(spec, beta, s, c1)
+        np.stack([softmax(spec.design_matrix(s, c1) @ beta)
                   for s in candidates]))
 
 

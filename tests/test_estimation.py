@@ -421,6 +421,23 @@ def test_not_identified_error_names_coefficient():
         fit_mnl(data, spec)
 
 
+def test_overflowing_information_raises_naming_scenario():
+    # an occupancy of 1e300 is finite, but its squared differences in the
+    # information are not; the check runs at the zero start of the fit
+    rows = ((0, 2.0, 0, 1), (1e300, 3.0, 1, 0), (4, 5.0, 0, 0))
+    huge = Scenario(id="big", alternatives=tuple(
+        (label, ExitAttributes(*row)) for label, row in zip("ABC", rows)))
+    data = [ChoiceObservation(participant_id=i, scenario=s, chosen=i % 3)
+            for i, s in enumerate([*ref.EXPERIMENT_SCENARIOS, huge] * 2)]
+    spec = ref.POOLED_SPEC
+    for call in (lambda: fit_mnl(data, spec),
+                 lambda: gradient(data, spec, np.zeros(4)),
+                 lambda: hessian(data, spec, np.zeros(4))):
+        with pytest.raises(ValueError, match="^scenario 'big': its "
+                           "information is not finite"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # inference
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         ModelSpec, Scenario, SensitivityConfig,
                         choice_probabilities, effective_coefficients,
                         fit_mnl, generate_dataset, sensitivity_curve,
-                        utilities)
+                        softmax, utilities)
 from exitchoice import reference as ref
 from exitchoice.simulation import RULES
 
@@ -143,13 +143,15 @@ def test_generate_dataset_empty_scenario_list():
 
 def loop_generate_dataset(spec, params, scenarios, n_per_scenario,
                           c1_pattern=0.25, seed=0):
-    """Reference: one ``rng.random`` call and one search per scenario."""
+    """Reference: one ``rng.random`` call, one softmax and one search per
+    scenario."""
     beta = np.asarray(params, dtype=float)
     rng = np.random.default_rng(seed)
     n_first = int(round(c1_pattern * n_per_scenario))
     data = []
     for scenario in scenarios:
-        cum = {c1: np.cumsum(choice_probabilities(spec, beta, scenario, c1))
+        cum = {c1: np.cumsum(softmax(spec.design_matrix(scenario, c1)
+                                     @ beta))
                for c1 in (1, 0)}
         draws = rng.random(n_per_scenario)
         for r in range(n_per_scenario):
