@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io
-from .core import ATTRIBUTES, ModelSpec, choice_probabilities
+from .core import ATTRIBUTES, ModelSpec, _ChoiceSets, as_params
 from .design import full_factorial, search_design
 from .estimation import NotIdentifiedError, fit_mnl, inference_table
 from .simulation import generate_dataset, sensitivity_curve
@@ -84,7 +84,8 @@ def cmd_design(args) -> int:
     for s in result.scenarios:
         cells = ", ".join(
             f"{label}(np={attrs.np:g} dist={attrs.dist:g} "
-            f"smoke={attrs.smoke:g})" for label, attrs in s.alternatives)
+            f"smoke={attrs.smoke:g} fam={attrs.fam:g})"
+            for label, attrs in s.alternatives)
         print(f"  scenario {s.id}: {cells}")
     out = args.out or cfg.get("out")
     if out:
@@ -111,9 +112,12 @@ def cmd_predict(args) -> int:
     params = io.read_params_csv(args.params)
     spec, beta = _params_spec_and_vector(params)
     scenarios = io.read_scenarios_csv(args.scenarios)
+    # One kernel for the table: its scenarios share one label set, so every
+    # row is bitwise the one-scenario ``choice_probabilities``.
+    probabilities = _ChoiceSets.from_scenarios(
+        scenarios, spec, args.c1).probabilities(as_params(spec, beta))
     rows = []
-    for s in scenarios:
-        p = choice_probabilities(spec, beta, s, c1=args.c1)
+    for s, p in zip(scenarios, probabilities):
         rows.extend((s.id, label, float(pi))
                     for (label, _), pi in zip(s.alternatives, p))
         shares = "  ".join(f"{label} {pi:.3f}"

@@ -35,6 +35,10 @@ _NO_ATTRIBUTES = (0.0,) * len(ATTRIBUTES)
 #: Suffix used to label first-choice interaction coefficients, e.g. "np:first".
 FIRST_SUFFIX = ":first"
 
+#: Why a finite coefficient vector can give a utility that is not finite.
+_TOO_LARGE = ("a utility is not finite; the coefficients are too large for "
+              "its attributes")
+
 #: Exclusive upper bound of the continuous attributes.  ``0 <= x < _INF`` is
 #: False for NaN, so the one comparison rejects negative and non-finite values.
 _INF = float("inf")
@@ -254,17 +258,26 @@ def systematic_utility(spec: ModelSpec, params, exit: ExitAttributes,
     """Linear systematic utility of one alternative.
 
     Each term contributes ``(beta + c1 * beta_first) * x``; terms without a
-    first-choice interaction have ``beta_first = 0``.
+    first-choice interaction have ``beta_first = 0``.  A utility that is
+    not finite raises ValueError.
     """
     beta = as_params(spec, params)
-    return float(spec.design_row(exit, c1) @ beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(spec.design_row(exit, c1) @ beta)
+    if not np.isfinite(v):
+        raise ValueError(_TOO_LARGE)
+    return v
 
 
 def utilities(spec: ModelSpec, params, scenario: Scenario,
               c1: int = 0) -> np.ndarray:
-    """Systematic utilities of all alternatives in a scenario."""
+    """Systematic utilities of all alternatives in a scenario, from the
+    kernel ``_ChoiceSets``; bitwise ``spec.design_matrix(scenario, c1) @
+    beta``.  A utility that is not finite raises ValueError naming the
+    scenario."""
     beta = as_params(spec, params)
-    return spec.design_matrix(scenario, c1) @ beta
+    return _ChoiceSets.from_scenarios([scenario], spec, c1).utilities(
+        beta)[0]
 
 
 def choice_probabilities(spec: ModelSpec, params, scenario: Scenario,
@@ -300,11 +313,11 @@ class _ChoiceSets:
     ``design_matrix`` uses, so ``X`` is bitwise the stacked design
     matrices.
 
-    ``scenarios`` holds the scenario of each set.  Probabilities and
-    informations are checked: a ValueError, and no floating-point warning,
-    names the scenario of the first set with a utility or an information
-    that is not finite.  The log-likelihood is not checked, so that a
-    Newton step that overshoots sees -inf or nan and is halved.
+    ``scenarios`` holds the scenario of each set.  Utilities, probabilities
+    and informations are checked: a ValueError, and no floating-point
+    warning, names the scenario of the first set with a utility or an
+    information that is not finite.  The log-likelihood is not checked, so
+    that a Newton step that overshoots sees -inf or nan and is halved.
     """
 
     __slots__ = ("scenarios", "X", "D", "avail", "counts")
@@ -363,14 +376,17 @@ class _ChoiceSets:
             g = int(finite.reshape(len(finite), -1).all(axis=1).argmin())
             raise ValueError(f"scenario {self.scenarios[g].id!r}: {problem}")
 
-    def probabilities(self, beta: np.ndarray) -> np.ndarray:
-        """Choice probabilities per set, zero on padded slots.  A padded
-        zero row has a finite utility, as ``beta`` is finite."""
+    def utilities(self, beta: np.ndarray) -> np.ndarray:
+        """Utilities per set, (G, J), zero on padded slots: a padded zero
+        row has a finite utility, as ``beta`` is finite."""
         with np.errstate(over="ignore", invalid="ignore"):
             v = self.X @ beta
-        self._check(v, "a utility is not finite; the coefficients are too "
-                    "large for its attributes")
-        v = np.where(self.avail, v, -np.inf)
+        self._check(v, _TOO_LARGE)
+        return v
+
+    def probabilities(self, beta: np.ndarray) -> np.ndarray:
+        """Choice probabilities per set, zero on padded slots."""
+        v = np.where(self.avail, self.utilities(beta), -np.inf)
         e = np.exp(v - v.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 

@@ -20,7 +20,7 @@ after:
   lemma det(B + A_c^T A_c) = det(B) det(I_J + A_c B^-1 A_c^T).  One ``eigh``
   of B gives B^-1, and a batched LDL^T the J x J determinants of all
   candidates at once, which rank them as their D-errors do.  The design's
-  own members are masked first when sampling without replacement.
+  own members are masked first: a design never repeats a candidate.
 * **Confirm.**  Every candidate whose screened determinant is within a
   relative ``_CONFIRM_RTOL`` (1e-9), widened by 4 K eps cond(B) for an
   ill-conditioned base, of the best is re-scored exactly as ``base +
@@ -248,45 +248,50 @@ def _lemma_determinants(base: np.ndarray, factors: np.ndarray
 
 
 def _scan(base: np.ndarray, parts: np.ndarray, factors: np.ndarray,
-          taken: list[int]) -> np.ndarray:
-    """D-errors of ``base + parts[c]`` for a search step, +inf at ``taken``.
+          design: list[int]) -> np.ndarray:
+    """D-errors of ``base + parts[c]`` for a search step, +inf on the
+    candidates already in ``design``.
 
     Screens with the determinant lemma and re-scores exactly only the
     candidates near the screened best; every other candidate scores +inf.
     A base that cannot be screened, or a near-tie that scores singular,
     has every candidate scored exactly.  Either way the minimum over the
-    candidates not taken, and the lowest index that attains it, are those
-    of scoring every candidate.
+    candidates not in the design, and the lowest index that attains it,
+    are those of scoring every candidate.
     """
     k = parts.shape[1]
     keep = slice(None)
     screened = _lemma_determinants(base, factors)
     if screened is not None:
         det, cond = screened
-        det[taken] = -math.inf
+        det[design] = -math.inf
         rtol = _CONFIRM_RTOL + 4 * k * np.finfo(float).eps * cond
         keep = np.flatnonzero(det >= det.max() * (1.0 - rtol))
     d = np.full(len(parts), math.inf)
     d[keep] = _d_errors(base + parts[keep], k)
     if screened is not None and np.isinf(d[keep]).any():
         d = _d_errors(base + parts, k)
-    d[taken] = math.inf
+    d[design] = math.inf
     return d
 
 
 def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
-                  priors, c1: int = 0, seed: int = 0, iterations: int = 10,
-                  with_replacement: bool = False) -> EfficientDesign:
-    """Find a low-D-error design of ``size`` scenarios among the candidates.
+                  priors, c1: int = 0, seed: int = 0,
+                  iterations: int = 10) -> EfficientDesign:
+    """Find a low-D-error design of ``size`` distinct scenarios among the
+    candidates.
 
     Each restart draws a random starting scenario, greedily adds the
-    candidate that minimizes the partial design's D-error (ties broken by
-    lowest candidate index), then applies best-improvement pairwise swaps
-    until no swap lowers the D-error.  The returned design is the best over
-    all restarts, so its D-error is <= that of every design visited during
-    the search; scenarios come back sorted by candidate index with the
-    D-error recomputed canonically from that ordering.  Deterministic given
-    ``seed``; ``iterations`` (>= 1) is the restart count.
+    candidate not yet in the design that minimizes the partial design's
+    D-error (ties broken by lowest candidate index), then applies
+    best-improvement swaps of a member for a candidate outside the design
+    until no swap lowers the D-error.  A design never repeats a candidate,
+    so ``size`` is at most the candidate count.  The returned design is the
+    best over all restarts, so its D-error is <= that of every design
+    visited during the search; scenarios come back sorted by candidate
+    index with the D-error recomputed canonically from that ordering.
+    Deterministic given ``seed``; ``iterations`` (>= 1) is the restart
+    count.
 
     Raises NotIdentifiedError when every design examined is singular, i.e.
     the spec is not identifiable with a design of this size.
@@ -314,7 +319,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
         return EfficientDesign(scenarios=scenarios, d_error=d,
                                priors=beta, spec=spec)
 
-    if size == n and not with_replacement:
+    if size == n:
         return finish(range(n))
 
     parts, factors = _candidate_terms(candidates, spec, beta, c1)
@@ -324,13 +329,11 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
 
     for _ in range(iterations):
         design = [int(rng.integers(n))]
-        taken = [] if with_replacement else design
         info = parts[design[0]].copy()
 
         while len(design) < size:
-            d = _scan(info, parts, factors, taken)
-            free = (everything if with_replacement
-                    else np.delete(everything, design))
+            d = _scan(info, parts, factors, design)
+            free = np.delete(everything, design)
             pick = int(free[np.argmin(d[free])])
             design.append(pick)
             info += parts[pick]
@@ -341,7 +344,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
             improved = False
             swap, swap_d = None, current
             for pos, m in enumerate(design):
-                d = _scan(info - parts[m], parts, factors, taken)
+                d = _scan(info - parts[m], parts, factors, design)
                 c = int(np.argmin(d))
                 if d[c] < swap_d:
                     swap, swap_d = (pos, c), float(d[c])

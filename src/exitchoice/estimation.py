@@ -72,9 +72,12 @@ def two_sided_p(z: float) -> float:
 
 def log_likelihood(data: Sequence[ChoiceObservation], spec: ModelSpec,
                    params) -> float:
-    """Log-likelihood sum_n ln P_n,chosen(n); always <= 0."""
+    """Log-likelihood sum_n ln P_n,chosen(n); always <= 0.  A utility that
+    is not finite raises ValueError naming the scenario."""
     beta = as_params(spec, params)
-    return _ChoiceSets.from_observations(data, spec).log_likelihood(beta)
+    sets = _ChoiceSets.from_observations(data, spec)
+    sets.utilities(beta)    # the check: the kernel's log-likelihood has none
+    return sets.log_likelihood(beta)
 
 
 def gradient(data: Sequence[ChoiceObservation], spec: ModelSpec,
@@ -140,7 +143,8 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
     Raises
     ------
     ValueError
-        If ``tol`` or ``max_iter`` is out of range.
+        If ``tol`` or ``max_iter`` is out of range, or a utility at the
+        start is not finite (naming its scenario).
     NotIdentifiedError
         If the negative Hessian is singular at an iterate or at the
         converged optimum; the message names the offending coefficients.
@@ -160,8 +164,10 @@ def fit_mnl(data: Sequence[ChoiceObservation], spec: ModelSpec,
     k = spec.n_params
     beta = np.zeros(k) if init is None else as_params(spec, init).copy()
 
-    ll = sets.log_likelihood(beta)
+    # The checked evaluation first: a start whose utilities are not finite
+    # raises ValueError naming the scenario.
     grad, hess = sets.score_hessian(beta)
+    ll = sets.log_likelihood(beta)
     iterations = 0
 
     while iterations < max_iter and np.max(np.abs(grad)) > tol:

@@ -478,8 +478,8 @@ def priors_from_config(cfg, spec: ModelSpec) -> np.ndarray:
 
 def design_options(cfg) -> dict:
     """The checked ``design`` section: ``search_design`` keyword arguments."""
-    return _fields(cfg.get("design", {}), "design", {
-        "size": int, "seed": int, "iterations": int, "with_replacement": bool})
+    return _fields(cfg.get("design", {}), "design",
+                   {"size": int, "seed": int, "iterations": int})
 
 
 def estimate_options(cfg) -> dict:

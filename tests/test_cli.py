@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from exitchoice import ChoiceObservation, Scenario, io
+from exitchoice import (ChoiceObservation, ModelSpec, Scenario,
+                        choice_probabilities, full_factorial, io)
 from exitchoice import reference as ref
 from exitchoice.cli import main
 
@@ -199,6 +200,29 @@ def test_design_size_exceeding_universe_exit_2(tmp_path):
     assert main(["design", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("estimates", [ref.POOLED_ESTIMATES,
+                                       ref.FIRST_CHOICE_ESTIMATES])
+@pytest.mark.parametrize("c1", ["0", "1"])
+def test_predict_factorial_equals_choice_probabilities(tmp_path, capsys,
+                                                       estimates, c1):
+    # the table is scored in one batch; every row must be bitwise the
+    # one-scenario probability
+    table = tmp_path / "factorial.csv"
+    io.write_scenarios_csv(table, full_factorial(ref.EXPERIMENT_LEVELS))
+    params = write_params(tmp_path / "params.csv", estimates)
+    out = tmp_path / "probs.csv"
+    assert main(["predict", "--params", params, "--scenarios", str(table),
+                 "--c1", c1, "--out", str(out)]) == 0
+    capsys.readouterr()
+    spec = ModelSpec.from_coef_names(list(estimates))
+    beta = ref.estimates_vector(spec, estimates)
+    want = [f"{s.id},{label},{float(p)!r}"
+            for s in io.read_scenarios_csv(table)
+            for (label, _), p in zip(s.alternatives, choice_probabilities(
+                spec, beta, s, c1=int(c1)))]
+    assert out.read_text().splitlines()[1:] == want
+
+
 def test_predict_command(tmp_path, scenarios_csv, capsys):
     params1 = write_params(tmp_path / "params1.csv", ref.POOLED_ESTIMATES)
     out = tmp_path / "probs.csv"
@@ -285,8 +309,8 @@ def small_design_config(tmp_path, priors, design):
     ({"np": [1], "smoke": -1.0}, {"size": 3}, "priors.np"),
     ({"np": None, "smoke": -1.0}, {"size": 3}, "priors.np"),
     ({"np": 0.1, "smoke": -1.0}, {"size": [3]}, "design.size"),
-    ({"np": 0.1, "smoke": -1.0}, {"size": 3, "with_replacement": "false"},
-     "design.with_replacement"),
+    ({"np": 0.1, "smoke": -1.0}, {"size": 3, "with_replacement": False},
+     "design: unknown key(s) with_replacement"),
     ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": 0}, "iterations"),
     ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": -1},
      "iterations"),
@@ -337,14 +361,38 @@ def test_design_with_float_flag_levels_then_predict(tmp_path, capsys):
     assert main(["design", "--config", str(config),
                  "--out", str(design_csv)]) == 0
     out = capsys.readouterr().out
-    assert "smoke=0)" in out or "smoke=1)" in out
-    assert "smoke=0.0" not in out and "smoke=1.0" not in out
+    assert "fam=0)" in out and "fam=1)" in out
+    assert not re.search(r"(smoke|fam)=[01]\.0", out)
     rows = design_csv.read_text().splitlines()
     assert all(row.split(",")[3] in ("0", "1") for row in rows[1:-1])
     params = write_params(tmp_path / "params.csv",
                           {"np": (0.1, 0.01), "smoke": (-1.0, 0.1)})
     assert main(["predict", "--params", params, "--scenarios",
                  str(design_csv)]) == 0
+
+
+def test_design_prints_every_attribute(tmp_path, capsys):
+    # familiarity varies at both exits, so scenarios that differ only in
+    # fam must print different lines, each matching its CSV row
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": "np"}, {"attr": "fam"}]},
+        "levels": {
+            "A": {"np": [0, 5], "dist": [4.0], "smoke": [0], "fam": [0, 1]},
+            "B": {"np": [0], "dist": [2.0], "smoke": [1], "fam": [0, 1]},
+        },
+        "priors": {"np": 0.1, "fam": 0.8},
+        "design": {"size": 8}}))
+    design_csv = tmp_path / "design.csv"
+    assert main(["design", "--config", str(config),
+                 "--out", str(design_csv)]) == 0
+    printed = capsys.readouterr().out.splitlines()[1:-1]
+    assert printed == [f"  scenario {s.id}: " + ", ".join(
+        f"{label}(np={a.np:g} dist={a.dist:g} smoke={a.smoke} fam={a.fam})"
+        for label, a in s.alternatives)
+        for s in io.read_scenarios_csv(design_csv)]
+    assert len(set(printed)) == 8
 
 
 def test_design_non_numeric_level_exit_2(tmp_path, capsys):
@@ -541,3 +589,14 @@ def test_readme_run_config_runs(tmp_path, params2):
                  "--out", str(tmp_path / "design.csv")]) == 0
     assert main(["sensitivity", "--params", params2, "--config", str(config),
                  "--out", str(tmp_path / "curves.csv")]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_readme_python_blocks_run():
+    # every python block of the README runs as written; a numpy warning fails
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

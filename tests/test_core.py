@@ -240,6 +240,32 @@ def test_non_finite_coefficient_rejected_by_every_entry_point(bad):
             f"coefficient smoke must be finite, got {bad}", name
 
 
+def test_overflowing_utility_rejected_by_every_entry_point():
+    # finite coefficients near 1e308 overflow a utility (dist 6.0 at exit A
+    # of scenario 1): a ValueError, and no numpy warning, which this suite
+    # turns into an error; fit_mnl checks its start before its line search
+    spec = ref.POOLED_SPEC
+    battery = list(ref.EXPERIMENT_SCENARIOS)
+    scenario = battery[0]
+    data = [ChoiceObservation(participant_id=i, scenario=s, chosen=i % 3)
+            for i, s in enumerate(battery)]
+    beta = [1e308, 1e308, 0.0, 0.0]
+    problem = ("a utility is not finite; the coefficients are too large "
+               "for its attributes")
+    entry_points = {
+        "fit_mnl": lambda: fit_mnl(data, spec, init=beta),
+        "log_likelihood": lambda: log_likelihood(data, spec, beta),
+        "utilities": lambda: utilities(spec, beta, scenario),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"scenario 1: {problem}", name
+    with pytest.raises(ValueError) as info:
+        systematic_utility(spec, beta, scenario.alternatives[0][1])
+    assert str(info.value) == problem
+
+
 @settings(max_examples=300, deadline=None)
 @given(spec=st.sampled_from([ref.POOLED_SPEC, ref.FIRST_CHOICE_SPEC]),
        c1=st.integers(0, 1),

@@ -377,12 +377,12 @@ def loop_d(info, k):
     return float(math.exp(-np.log(eigval).sum() / k))
 
 
-def loop_search(candidates, size, spec, priors, c1=0, seed=0, iterations=10,
-                with_replacement=False):
+def loop_search(candidates, size, spec, priors, c1=0, seed=0, iterations=10):
     """Reference search: one eigendecomposition per candidate per step.
 
     Greedy construction from a seeded random start, then best-improvement
-    pairwise swaps; returns (sorted candidate indices, D-error).
+    pairwise swaps, never repeating a candidate; returns (sorted candidate
+    indices, D-error).
     """
     beta = np.asarray(priors, dtype=float)
     n = len(candidates)
@@ -402,7 +402,7 @@ def loop_search(candidates, size, spec, priors, c1=0, seed=0, iterations=10,
             raise NotIdentifiedError("no design identifies the spec")
         return picked, d
 
-    if size == n and not with_replacement:
+    if size == n:
         return finish(range(n))
 
     rng = np.random.default_rng(seed)
@@ -413,7 +413,7 @@ def loop_search(candidates, size, spec, priors, c1=0, seed=0, iterations=10,
         while len(design) < size:
             pick, pick_d = None, math.inf
             for c in range(n):
-                if not with_replacement and c in design:
+                if c in design:
                     continue
                 d = loop_d(info + parts[c], k)
                 if d < pick_d or pick is None:
@@ -429,7 +429,7 @@ def loop_search(candidates, size, spec, priors, c1=0, seed=0, iterations=10,
             for pos, m in enumerate(design):
                 base = info - parts[m]
                 for c in range(n):
-                    if not with_replacement and c in design:
+                    if c in design:
                         continue
                     d = loop_d(base + parts[c], k)
                     if d < swap_d:
@@ -472,8 +472,7 @@ def search_problems(draw):
     priors = draw(st.lists(st.floats(-1.0, 1.0), min_size=spec.n_params,
                            max_size=spec.n_params))
     kwargs = dict(seed=draw(st.integers(0, 2**32 - 1)),
-                  iterations=draw(st.integers(1, 3)),
-                  with_replacement=draw(st.booleans()))
+                  iterations=draw(st.integers(1, 3)))
     size = draw(st.integers(1, len(candidates) + 1))
     return candidates, size, spec, priors, kwargs
 
@@ -492,7 +491,7 @@ def test_search_equals_loop_search(problem):
     assert got.d_error == d
 
 
-def test_search_equals_loop_search_with_ties_and_replacement():
+def test_search_equals_loop_search_with_ties():
     # duplicated candidates make ties; the loop's tie-break must hold
     rng = np.random.default_rng(61)
     spec = ModelSpec((("np", False), ("dist", False), ("smoke", False)))
@@ -501,13 +500,12 @@ def test_search_equals_loop_search_with_ties_and_replacement():
     candidates = [Scenario(id=i + 1, alternatives=s.alternatives)
                   for i, s in enumerate(candidates + candidates)]
     for seed in range(4):
-        for replace in (False, True):
-            got = search_design(candidates, 5, spec, priors, seed=seed,
-                                iterations=3, with_replacement=replace)
-            indices, d = loop_search(candidates, 5, spec, priors, seed=seed,
-                                     iterations=3, with_replacement=replace)
-            assert [s.id - 1 for s in got.scenarios] == indices
-            assert got.d_error == d
+        got = search_design(candidates, 5, spec, priors, seed=seed,
+                            iterations=3)
+        indices, d = loop_search(candidates, 5, spec, priors, seed=seed,
+                                 iterations=3)
+        assert [s.id - 1 for s in got.scenarios] == indices
+        assert got.d_error == d
 
 
 def test_search_all_singular_step_picks_lowest_free_candidate():

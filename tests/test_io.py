@@ -746,7 +746,6 @@ def test_config_prior_must_be_finite_number(tmp_path, value):
     ("design", "size", [3]), ("design", "size", 3.0), ("design", "size", "3"),
     ("design", "seed", 1.5), ("design", "seed", True),
     ("design", "iterations", None),
-    ("design", "with_replacement", "false"), ("design", "with_replacement", 0),
     ("estimate", "tol", float("nan")), ("estimate", "tol", True),
     ("estimate", "tol", "1e-6"), ("estimate", "max_iter", 10.0),
 ])
@@ -761,8 +760,7 @@ def test_config_option_types(tmp_path, section, key, value):
 def test_config_valid_options_pass_through(tmp_path):
     cfg = io.load_config(write_config(tmp_path, {
         "version": 1,
-        "design": {"size": 8, "seed": 3, "iterations": 2,
-                   "with_replacement": True},
+        "design": {"size": 8, "seed": 3, "iterations": 2},
         "estimate": {"tol": 1, "max_iter": 50}}))
     assert io.design_options(cfg) == cfg["design"]
     assert io.estimate_options(cfg) == cfg["estimate"]
