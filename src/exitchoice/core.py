@@ -15,8 +15,9 @@ that is active only when ``c1 = 1``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -29,8 +30,7 @@ ATTRIBUTES = ("np", "dist", "smoke", "fam")
 #: The registry attributes of an ``ExitAttributes``, as a tuple.
 _attribute_values = attrgetter(*ATTRIBUTES)
 _second = itemgetter(1)
-#: The attribute row of a padded slot in ``_ChoiceSets``.
-_NO_ATTRIBUTES = (0.0,) * len(ATTRIBUTES)
+_alternatives = attrgetter("alternatives")
 
 #: Suffix used to label first-choice interaction coefficients, e.g. "np:first".
 FIRST_SUFFIX = ":first"
@@ -39,9 +39,11 @@ FIRST_SUFFIX = ":first"
 _TOO_LARGE = ("a utility is not finite; the coefficients are too large for "
               "its attributes")
 
-#: Exclusive upper bound of the continuous attributes.  ``0 <= x < _INF`` is
-#: False for NaN, so the one comparison rejects negative and non-finite values.
-_INF = float("inf")
+#: Upper bound of the continuous attributes, the largest finite float.
+#: ``0 <= x <= _MAX`` is False for NaN and for an int that ``float()``
+#: cannot convert, so the one comparison rejects negative and non-finite
+#: values.
+_MAX = sys.float_info.max
 
 
 def _check_binary(value, name):
@@ -72,9 +74,9 @@ class ExitAttributes:
     fam: int
 
     def __post_init__(self):
-        if not 0 <= self.np < _INF:
+        if not 0 <= self.np <= _MAX:
             raise ValueError(f"np must be finite and >= 0, got {self.np}")
-        if not 0 <= self.dist < _INF:
+        if not 0 <= self.dist <= _MAX:
             raise ValueError(f"dist must be finite and >= 0, got {self.dist}")
         _check_binary(self.smoke, "smoke")
         _check_binary(self.fam, "fam")
@@ -307,11 +309,12 @@ class _ChoiceSets:
     within a set contributes an exactly zero score and information; padded
     slots, whose probability is zero, contribute exact zeros.
 
-    The build reads every alternative's attributes in one ``np.fromiter``
-    pass into a (G, J, len(ATTRIBUTES)) array, zero on padded slots, and
-    expands it column by column with ``ModelSpec._expand``, the rule
+    The build reads every attribute of every alternative, set after set,
+    in one ``np.fromiter`` stream of floats, places those rows through the
+    ``avail`` mask into a zero (G, J, len(ATTRIBUTES)) array, and expands
+    it column by column with ``ModelSpec._expand``, the rule
     ``design_matrix`` uses, so ``X`` is bitwise the stacked design
-    matrices.
+    matrices.  Ragged and equal-sized sets take the same path.
 
     ``scenarios`` holds the scenario of each set.  Utilities, probabilities
     and informations are checked: a ValueError, and no floating-point
@@ -326,22 +329,23 @@ class _ChoiceSets:
         # The scenarios, not the (scenario, c1) pairs: keeping a pair per
         # set alive adds full garbage collections to a fit of many sets.
         self.scenarios = [s for s, _ in sets]
-        sizes = np.fromiter((len(s.alternatives) for s, _ in sets),
-                            dtype=np.intp, count=len(sets))
-        j_max = int(sizes.max())
-        self.avail = np.arange(j_max) < sizes[:, None]
-        # Each set's attribute rows, then zero rows up to J.  Their array is
-        # only an argument of _expand, so it is freed before D is allocated
-        # (peak memory of a fit).
-        rows = chain.from_iterable(
-            chain(map(_attribute_values, map(_second, s.alternatives)),
-                  repeat(_NO_ATTRIBUTES, j_max - len(s.alternatives)))
-            for s, _ in sets)
+        alternatives = list(map(_alternatives, self.scenarios))
+        sizes = np.fromiter(map(len, alternatives), dtype=np.intp,
+                            count=len(sets))
+        self.avail = np.arange(int(sizes.max())) < sizes[:, None]
+        # The rows of the real alternatives, in set order: the order in
+        # which the mask assignment fills the True slots of avail.
+        attrs = np.zeros(self.avail.shape + (len(ATTRIBUTES),))
+        attrs[self.avail] = np.fromiter(
+            chain.from_iterable(map(_attribute_values, map(
+                _second, chain.from_iterable(alternatives)))),
+            dtype=float, count=int(sizes.sum()) * len(ATTRIBUTES)
+        ).reshape(-1, len(ATTRIBUTES))
         c1 = np.fromiter((c1 for _, c1 in sets), dtype=float,
                          count=len(sets))[:, None]
-        self.X = spec._expand(np.fromiter(
-            rows, dtype=(float, len(ATTRIBUTES)),
-            count=len(sets) * j_max).reshape(len(sets), j_max, -1), c1)
+        self.X = spec._expand(attrs, c1)
+        # Freed before D is allocated (peak memory of a fit).
+        del attrs
         self.D = self.X - self.X[:, :1]
         self.counts = np.zeros(self.avail.shape)
 
@@ -385,18 +389,28 @@ class _ChoiceSets:
         return v
 
     def probabilities(self, beta: np.ndarray) -> np.ndarray:
-        """Choice probabilities per set, zero on padded slots."""
+        """Choice probabilities per set, zero on padded slots.  Finite
+        utilities whose spread passes the float range subtract to -inf,
+        whose probability is exactly zero."""
         v = np.where(self.avail, self.utilities(beta), -np.inf)
-        e = np.exp(v - v.max(axis=1, keepdims=True))
+        with np.errstate(over="ignore"):
+            e = np.exp(v - v.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
     def log_likelihood(self, beta: np.ndarray) -> float:
-        """sum_g sum_j n_gj ln P_gj."""
-        v = self.X @ beta
-        v_masked = np.where(self.avail, v, -np.inf)
-        m = v_masked.max(axis=1)
-        lse = np.log(np.exp(v_masked - m[:, None]).sum(axis=1)) + m
-        return float(np.sum(self.counts * (v - lse[:, None])))
+        """sum_g sum_j n_gj ln P_gj over the rows with n_gj > 0.
+
+        Unchecked and silent: a row never chosen adds nothing, even where
+        its ln P is -inf, while a chosen row that overflows makes the sum
+        -inf or nan.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.X @ beta
+            v_masked = np.where(self.avail, v, -np.inf)
+            m = v_masked.max(axis=1)
+            lse = np.log(np.exp(v_masked - m[:, None]).sum(axis=1)) + m
+            terms = self.counts * (v - lse[:, None])
+        return float(np.sum(np.where(self.counts != 0, terms, 0.0)))
 
     def information(self, beta: np.ndarray) -> np.ndarray:
         """Fisher information of one respondent per set, shape (G, K, K)."""

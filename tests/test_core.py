@@ -1,5 +1,10 @@
 """Tests for domain types, utilities and choice probabilities."""
 
+import math
+from collections import Counter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,8 +171,10 @@ def test_exit_attributes_validation():
         ExitAttributes(np=0, dist=0, smoke=0, fam=0.5)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 pytest.param(10**400, id="10**400")])
 def test_exit_attributes_reject_non_finite(bad):
+    # 10**400 is below float('inf'), but float() cannot convert it
     with pytest.raises(ValueError, match="np must be finite"):
         ExitAttributes(np=bad, dist=0, smoke=0, fam=0)
     with pytest.raises(ValueError, match="dist must be finite"):
@@ -264,6 +271,28 @@ def test_overflowing_utility_rejected_by_every_entry_point():
     with pytest.raises(ValueError) as info:
         systematic_utility(spec, beta, scenario.alternatives[0][1])
     assert str(info.value) == problem
+
+
+def test_finite_utilities_with_overflowing_spread():
+    # utilities -9e307 at exit A and 9.6e307 at exit B of scenario 1: their
+    # difference passes the float range, which must raise no warning (an
+    # error in this suite); the kernel's log-likelihood stays unchecked
+    spec = ref.POOLED_SPEC
+    scenario = ref.EXPERIMENT_SCENARIOS[0]
+    beta = [1.5e307, -1.5e307, 0.0, 0.0]
+    assert np.isfinite(utilities(spec, beta, scenario)).all()
+    np.testing.assert_array_equal(choice_probabilities(spec, beta, scenario),
+                                  [0.0, 1.0, 0.0])
+    chose = [ChoiceObservation(participant_id=0, scenario=scenario, chosen=j)
+             for j in range(3)]
+    ll = log_likelihood(chose[1:2], spec, beta)
+    assert math.isfinite(ll) and ll == pytest.approx(0.0, abs=1e-300)
+    sets = _ChoiceSets.from_observations(chose, spec)
+    assert sets.log_likelihood(np.array(beta)) == -math.inf
+    # a chosen utility that overflows is not finite either
+    sets = _ChoiceSets.from_observations(chose[:1], spec)
+    assert not math.isfinite(
+        sets.log_likelihood(np.array([1e308, 1e308, 0.0, 0.0])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -365,6 +394,82 @@ def test_choice_sets_tensor_equals_stacked_design_matrices(problem):
         kernel.avail, [[j < s.n_alternatives for j in range(j_max)]
                        for s, _ in sets])
     assert kernel.D.tobytes() == (want - want[:, :1]).tobytes()
+
+
+def chained_tensor(sets, spec):
+    """Reference: the kernel's ``(X, D, avail)`` from the chained build.
+
+    One iterator chain per set yields its attribute rows and then zero rows
+    up to the largest set size; ``np.fromiter`` reads them all into
+    ``(float, len(ATTRIBUTES))`` records.
+    """
+    attribute_values = attrgetter(*ATTRIBUTES)
+    no_attributes = (0.0,) * len(ATTRIBUTES)
+    sizes = np.array([s.n_alternatives for s, _ in sets])
+    j_max = int(sizes.max())
+    rows = chain.from_iterable(
+        chain(map(attribute_values, map(itemgetter(1), s.alternatives)),
+              repeat(no_attributes, j_max - s.n_alternatives))
+        for s, _ in sets)
+    c1 = np.array([c1 for _, c1 in sets], dtype=float)[:, None]
+    X = spec._expand(np.fromiter(
+        rows, dtype=(float, len(ATTRIBUTES)),
+        count=len(sets) * j_max).reshape(len(sets), j_max, -1), c1)
+    return X, X - X[:, :1], np.arange(j_max) < sizes[:, None]
+
+
+@st.composite
+def kernel_problems(draw):
+    """A reference spec, up to 40 sets of 2-7 alternatives with their sizes
+    in any order and mixed c1, and observations of those scenarios."""
+    spec = draw(st.sampled_from([ref.POOLED_SPEC, ref.FIRST_CHOICE_SPEC]))
+    exit_rows = st.tuples(st.integers(0, 10) | st.integers(0, 2**70)
+                          | st.floats(0.0, 1e300), st.floats(0.0, 50.0),
+                          st.integers(0, 1), st.integers(0, 1))
+    sets = []
+    for i in range(draw(st.integers(1, 40))):
+        rows = draw(st.lists(exit_rows, min_size=2, max_size=7))
+        sets.append((Scenario(id=i, alternatives=tuple(
+            (label, ExitAttributes(*row))
+            for label, row in zip("ABCDEFG", rows))),
+            draw(st.integers(0, 1))))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1),
+                                    st.integers(0, 6), st.integers(0, 1),
+                                    st.integers(1, 3)),
+                          min_size=1, max_size=60))
+    data = [ChoiceObservation(participant_id=n, scenario=sets[g][0],
+                              chosen=c % sets[g][0].n_alternatives,
+                              first_choice=f)
+            for n, (g, c, f, copies) in enumerate(picks)
+            for _ in range(copies)]
+    return spec, sets, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_problems())
+def test_choice_sets_tensor_equals_chained_build(problem):
+    spec, sets, data = problem
+    kernel = _ChoiceSets(sets, spec)
+    X, D, avail = chained_tensor(sets, spec)
+    assert kernel.X.shape == X.shape and kernel.X.tobytes() == X.tobytes()
+    assert kernel.D.tobytes() == D.tobytes()
+    np.testing.assert_array_equal(kernel.avail, avail)
+    # grouping: (scenario, c1) keys in first-seen order, choices counted
+    want: dict = {}
+    for obs in data:
+        want.setdefault((obs.scenario, obs.first_choice),
+                        Counter())[obs.chosen] += 1
+    grouped = _ChoiceSets.from_observations(data, spec)
+    X, D, avail = chained_tensor(list(want), spec)
+    assert grouped.scenarios == [s for s, _ in want]
+    assert grouped.X.tobytes() == X.tobytes()
+    assert grouped.D.tobytes() == D.tobytes()
+    np.testing.assert_array_equal(grouped.avail, avail)
+    expected = np.zeros(avail.shape)
+    for g, counts in enumerate(want.values()):
+        for j, n in counts.items():
+            expected[g, j] = n
+    np.testing.assert_array_equal(grouped.counts, expected)
 
 
 def test_design_rows_reject_non_binary_c1():
