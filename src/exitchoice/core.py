@@ -51,7 +51,7 @@ def _check_binary(value, name):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExitAttributes:
     """Attribute vector of one exit alternative.
 
@@ -82,7 +82,7 @@ class ExitAttributes:
         _check_binary(self.fam, "fam")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A choice set: an ordered list of labelled exit alternatives."""
 
@@ -109,7 +109,7 @@ class Scenario:
         return len(self.alternatives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceObservation:
     """One recorded decision of one participant in one scenario."""
 
@@ -119,6 +119,13 @@ class ChoiceObservation:
     first_choice: int = 0
 
     def __post_init__(self):
+        # A bool or a numpy integer is stored as the int it stands for, so
+        # a list of ``chosen`` values always indexes, never masks.
+        if type(self.chosen) is not int:
+            if not isinstance(self.chosen, (int, np.integer)):
+                raise ValueError(
+                    f"chosen must be an integer index, got {self.chosen!r}")
+            object.__setattr__(self, "chosen", int(self.chosen))
         if not 0 <= self.chosen < self.scenario.n_alternatives:
             raise ValueError(
                 f"chosen index {self.chosen} out of range for scenario "

@@ -1,6 +1,10 @@
 """Tests for domain types, utilities and choice probabilities."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import weakref
 from collections import Counter
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
@@ -196,6 +200,78 @@ def test_observation_bounds():
     with pytest.raises(ValueError, match="first_choice"):
         ChoiceObservation(participant_id="p1", scenario=scenario, chosen=0,
                           first_choice=3)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, np.float64(1.0), "1", None])
+def test_observation_chosen_must_be_an_integer(bad):
+    # a float index used to pass here and fail later inside numpy, and the
+    # writer then wrote an observation with no chosen=1 row
+    scenario = ref.EXPERIMENT_SCENARIOS[0]
+    with pytest.raises(ValueError, match="integer index"):
+        ChoiceObservation(participant_id="p1", scenario=scenario, chosen=bad)
+
+
+@pytest.mark.parametrize("chosen", [True, False, np.int64(1), np.intp(2),
+                                    np.uint8(0)])
+def test_observation_chosen_is_stored_as_int(chosen):
+    scenario = ref.EXPERIMENT_SCENARIOS[0]
+    obs = ChoiceObservation(participant_id="p1", scenario=scenario,
+                            chosen=chosen)
+    plain = ChoiceObservation(participant_id="p1", scenario=scenario,
+                              chosen=int(chosen))
+    assert type(obs.chosen) is int
+    assert obs == plain and hash(obs) == hash(plain)
+    assert repr(obs) == repr(plain)
+
+
+def test_bool_chosen_data_fit_like_int_data():
+    # a list of bools used to reach numpy as a boolean mask
+    rng = np.random.default_rng(5)
+    picks = [(bool(rng.integers(0, 2)), random_scenario(rng, n_alts=2))
+             for _ in range(200)]
+    as_bool = [ChoiceObservation(participant_id=i, scenario=s, chosen=c)
+               for i, (c, s) in enumerate(picks)]
+    as_int = [ChoiceObservation(participant_id=i, scenario=s, chosen=int(c))
+              for i, (c, s) in enumerate(picks)]
+    assert (log_likelihood(as_bool, ref.POOLED_SPEC, POOLED_BETA)
+            == log_likelihood(as_int, ref.POOLED_SPEC, POOLED_BETA))
+    np.testing.assert_array_equal(
+        fit_mnl(as_bool, ref.POOLED_SPEC).estimates,
+        fit_mnl(as_int, ref.POOLED_SPEC).estimates)
+
+
+def _value_objects():
+    scenario = ref.EXPERIMENT_SCENARIOS[0]
+    return [scenario.alternatives[0][1], scenario,
+            ChoiceObservation(participant_id="p1", scenario=scenario,
+                              chosen=2, first_choice=1)]
+
+
+@pytest.mark.parametrize("obj", _value_objects(), ids=type)
+def test_value_types_are_slotted_and_frozen(obj):
+    assert not hasattr(obj, "__dict__")
+    field = dataclasses.fields(obj)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+    # Python 3.10 and 3.11 raise TypeError here, not FrozenInstanceError:
+    # their generated __setattr__ tests the class as it was before slotting
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        obj.extra = 1
+    assert not hasattr(obj, "extra")
+    # slotted instances take no weak references
+    with pytest.raises(TypeError):
+        weakref.ref(obj)
+
+
+@pytest.mark.parametrize("obj", _value_objects(), ids=type)
+def test_value_types_round_trip(obj):
+    copies = [pickle.loads(pickle.dumps(obj, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(obj), copy.deepcopy(obj), dataclasses.replace(obj)]
+    for twin in copies:
+        assert type(twin) is type(obj)
+        assert twin == obj and hash(twin) == hash(obj)
+        assert repr(twin) == repr(obj)
 
 
 def test_model_spec_validation():
