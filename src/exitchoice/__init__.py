@@ -21,7 +21,7 @@ io / cli
 """
 
 from .core import (ATTRIBUTES, ChoiceObservation, ExitAttributes, ModelSpec,
-                   Scenario, as_params, choice_probabilities, softmax,
+                   Scenario, as_params, choice_probabilities,
                    systematic_utility, utilities)
 from .design import (EfficientDesign, FactorLevels, d_error,
                      fisher_information, full_factorial, search_design)
@@ -41,6 +41,5 @@ __all__ = [
     "effective_coefficients", "fisher_information", "fit_mnl",
     "full_factorial", "generate_dataset", "gradient", "hessian",
     "inference_table", "log_likelihood", "search_design",
-    "sensitivity_curve", "softmax",
-    "systematic_utility", "two_sided_p", "utilities",
+    "sensitivity_curve", "systematic_utility", "two_sided_p", "utilities",
 ]

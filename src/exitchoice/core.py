@@ -201,12 +201,6 @@ class ModelSpec:
                 names.append(attr + FIRST_SUFFIX)
         return tuple(names)
 
-    def design_row(self, exit: ExitAttributes, c1: int = 0) -> np.ndarray:
-        """Expanded attribute row x such that V = x @ params."""
-        _check_binary(c1, "c1")
-        return self._expand(np.array(_attribute_values(exit), dtype=float),
-                            c1)
-
     def design_matrix(self, scenario: Scenario, c1: int = 0) -> np.ndarray:
         """Stacked design rows for all alternatives, shape (J, K)."""
         _check_binary(c1, "c1")
@@ -255,13 +249,6 @@ def as_params(spec: ModelSpec, values: Iterable[float]) -> np.ndarray:
     return params
 
 
-def softmax(utilities: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction before exponentiation)."""
-    v = np.asarray(utilities, dtype=float)
-    e = np.exp(v - np.max(v))
-    return e / e.sum()
-
-
 def systematic_utility(spec: ModelSpec, params, exit: ExitAttributes,
                        c1: int = 0) -> float:
     """Linear systematic utility of one alternative.
@@ -271,8 +258,10 @@ def systematic_utility(spec: ModelSpec, params, exit: ExitAttributes,
     not finite raises ValueError.
     """
     beta = as_params(spec, params)
+    _check_binary(c1, "c1")
+    row = spec._expand(np.array(_attribute_values(exit), dtype=float), c1)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = float(spec.design_row(exit, c1) @ beta)
+        v = float(row @ beta)
     if not np.isfinite(v):
         raise ValueError(_TOO_LARGE)
     return v
@@ -280,10 +269,10 @@ def systematic_utility(spec: ModelSpec, params, exit: ExitAttributes,
 
 def utilities(spec: ModelSpec, params, scenario: Scenario,
               c1: int = 0) -> np.ndarray:
-    """Systematic utilities of all alternatives in a scenario, from the
-    kernel ``_ChoiceSets``; bitwise ``spec.design_matrix(scenario, c1) @
-    beta``.  A utility that is not finite raises ValueError naming the
-    scenario."""
+    """Systematic utilities of all alternatives in a scenario, one per row
+    of ``spec.design_matrix(scenario, c1)``, from the kernel
+    ``_ChoiceSets``.  A utility that is not finite raises ValueError naming
+    the scenario."""
     beta = as_params(spec, params)
     return _ChoiceSets.from_scenarios([scenario], spec, c1).utilities(
         beta)[0]
@@ -293,10 +282,9 @@ def choice_probabilities(spec: ModelSpec, params, scenario: Scenario,
                          c1: int = 0) -> np.ndarray:
     """Multinomial-logit choice probabilities for one scenario.
 
-    P_i = exp(V_i) / sum_k exp(V_k), from the kernel ``_ChoiceSets`` with
-    max-subtraction; bitwise ``softmax(spec.design_matrix(scenario, c1) @
-    beta)``.  A utility that is not finite raises ValueError naming the
-    scenario.
+    P_i = exp(V_i - m) / sum_k exp(V_k - m) over the utilities V of
+    ``utilities`` and their maximum m, from the kernel ``_ChoiceSets``.  A
+    utility that is not finite raises ValueError naming the scenario.
     """
     beta = as_params(spec, params)
     return _ChoiceSets.from_scenarios([scenario], spec, c1).probabilities(
@@ -319,9 +307,10 @@ class _ChoiceSets:
     The build reads every attribute of every alternative, set after set,
     in one ``np.fromiter`` stream of floats, places those rows through the
     ``avail`` mask into a zero (G, J, len(ATTRIBUTES)) array, and expands
-    it column by column with ``ModelSpec._expand``, the rule
-    ``design_matrix`` uses, so ``X`` is bitwise the stacked design
-    matrices.  Ragged and equal-sized sets take the same path.
+    it column by column with ``ModelSpec._expand``, the rule that
+    ``design_matrix`` and ``systematic_utility`` apply, so ``X`` is bitwise
+    the stacked design matrices.  Ragged and equal-sized sets take the same
+    path.
 
     ``scenarios`` holds the scenario of each set.  Utilities, probabilities
     and informations are checked: a ValueError, and no floating-point

@@ -99,6 +99,13 @@ class FactorLevels:
                 if attr not in attrs:
                     raise ValueError(
                         f"exit {label!r} is missing levels for {attr!r}")
+            # Exit i takes level i (or the last) of each attribute.
+            try:
+                for i in range(max(map(len, attrs.values()))):
+                    ExitAttributes(**{attr: values[min(i, len(values) - 1)]
+                                      for attr, values in attrs.items()})
+            except ValueError as exc:
+                raise ValueError(f"exit {label!r}: {exc}") from exc
             normalized[label] = attrs
         if len(normalized) < 2:
             raise ValueError("need levels for at least two exits")
@@ -178,11 +185,6 @@ def _d_errors(infos: np.ndarray, k: int) -> np.ndarray:
     return d
 
 
-def _d_from_information(info: np.ndarray, k: int) -> float:
-    """D-error of an information matrix: det(I)^(-1/K), +inf if singular."""
-    return float(_d_errors(info[None], k)[0])
-
-
 def d_error(design: Sequence[Scenario], spec: ModelSpec, priors,
             c1: int = 0) -> float:
     """D-error of a design: det(I^-1)^(1/K), strictly positive.
@@ -191,7 +193,7 @@ def d_error(design: Sequence[Scenario], spec: ModelSpec, priors,
     deficient, i.e. when the design cannot identify every coefficient.
     """
     info = fisher_information(design, spec, priors, c1)
-    return _d_from_information(info, spec.n_params)
+    return float(_d_errors(info[None], spec.n_params)[0])
 
 
 def _candidate_terms(candidates: Sequence[Scenario], spec: ModelSpec,
@@ -338,7 +340,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
             design.append(pick)
             info += parts[pick]
 
-        current = _d_from_information(info, k)
+        current = float(_d_errors(info[None], k)[0])
         improved = True
         while improved:
             improved = False

@@ -22,15 +22,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (FIRST_SUFFIX, ChoiceObservation, ModelSpec, Scenario,
-                   _ChoiceSets, as_params)
+from .core import (_MAX, FIRST_SUFFIX, ChoiceObservation, ModelSpec,
+                   Scenario, _ChoiceSets, as_params)
 from .estimation import two_sided_p
 
 RULES = ("base", "sum", "significant")
 
 #: Familiarity conditions for the two-exit sweep: which exit(s) the
-#: decision-maker is familiar with.
-FAMILIARITY = ("A", "B", "both")
+#: decision-maker is familiar with, and the fam attribute of exits A and B.
+FAMILIARITY = {"A": (1.0, 0.0), "B": (0.0, 1.0), "both": (1.0, 1.0)}
 
 
 def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
@@ -151,7 +151,8 @@ class SensitivityConfig:
     One attribute of the swept exit (exit A) varies over
     ``start, start+step, ... <= stop`` while the fixed exit (exit B) keeps
     ``fixed_exit``'s attributes.  The familiarity condition sets the fam
-    attribute of both exits: "A" -> (1, 0), "B" -> (0, 1), "both" -> (1, 1).
+    attribute of both exits, as ``FAMILIARITY`` maps it.  ``start``,
+    ``stop``, ``step`` and the point count must be finite.
     ``rule``/``alpha`` select how interaction coefficients are collapsed.
     """
 
@@ -166,26 +167,34 @@ class SensitivityConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        for name in ("start", "stop", "step"):
+            value = getattr(self, name)
+            if not -_MAX <= value <= _MAX:
+                raise ValueError(f"sweep {name} must be finite, got {value!r}")
         if self.step <= 0:
             raise ValueError("sweep step must be > 0")
         _check_alpha(self.alpha)
         if self.stop < self.start:
             raise ValueError("empty sweep range (stop < start)")
+        if not math.isfinite(self._steps()):
+            raise ValueError(
+                f"sweep from {self.start!r} to {self.stop!r} by "
+                f"{self.step!r} has too many points to count")
         if self.familiarity not in FAMILIARITY:
             raise ValueError(
-                f"familiarity must be one of {FAMILIARITY}, "
+                f"familiarity must be one of {tuple(FAMILIARITY)}, "
                 f"got {self.familiarity!r}")
         if self.sweep_attr == "fam":
             raise ValueError(
                 "fam is set by the familiarity condition and cannot be swept")
 
+    def _steps(self) -> float:
+        """(stop - start) / step in floats, +inf past the float range."""
+        return (float(self.stop) - float(self.start)) / float(self.step)
+
     def sweep_values(self) -> np.ndarray:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._steps() + 1e-9)) + 1
         return self.start + self.step * np.arange(count)
-
-
-def _fam_values(condition: str) -> tuple[float, float]:
-    return {"A": (1.0, 0.0), "B": (0.0, 1.0), "both": (1.0, 1.0)}[condition]
 
 
 def sensitivity_curve(params: Mapping,
@@ -203,7 +212,7 @@ def sensitivity_curve(params: Mapping,
         raise ValueError(
             f"swept attribute {config.sweep_attr!r} is not in the model "
             f"(coefficients: {', '.join(effective)})")
-    fam_a, fam_b = _fam_values(config.familiarity)
+    fam_a, fam_b = FAMILIARITY[config.familiarity]
 
     # Utility difference V_A - V_B from exact attribute differences.
     base_delta = 0.0

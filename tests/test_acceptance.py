@@ -13,11 +13,13 @@ from exitchoice import (ExitAttributes, ModelSpec, Scenario,
                         SensitivityConfig, choice_probabilities, d_error,
                         effective_coefficients, fit_mnl, full_factorial,
                         generate_dataset, gradient, hessian, log_likelihood,
-                        search_design, sensitivity_curve, softmax,
-                        two_sided_p, utilities)
+                        search_design, sensitivity_curve, two_sided_p,
+                        utilities)
 from exitchoice import io
 from exitchoice import reference as ref
 from exitchoice.cli import main
+
+from oracles import softmax
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))

@@ -486,6 +486,8 @@ def test_estimate_non_string_out_exit_2(tmp_path, params2, scenarios_csv,
     ({"familiarity": []}, "sweep.familiarity"),
     ({"familiarity": ["A", "A"]}, "sweep.familiarity"),
     ({"alpha": 2}, "alpha"), ({"alpha": -1}, "alpha"),
+    ({"stop": 1e300, "step": 1e-300}, "sweep: sweep from 0.0 to 1e+300 by "
+     "1e-300 has too many points to count"),
 ])
 def test_sensitivity_result_changing_sweep_exit_2(tmp_path, params2, capsys,
                                                   option, named):
@@ -557,6 +559,21 @@ def reference_design_config(tmp_path, np_levels_a, prior_np):
         "levels": levels, "priors": {**priors, "np": prior_np},
         "design": {"size": 8}}))
     return str(config)
+
+
+@pytest.mark.parametrize("label, attr, values, message", [
+    ("B", "smoke", [0.5, 0], "exit 'B': smoke must be 0 or 1, got 0.5"),
+    ("C", "np", [-1, 5], "exit 'C': np must be finite and >= 0, got -1"),
+])
+def test_design_invalid_level_names_the_exit_exit_2(tmp_path, capsys, label,
+                                                    attr, values, message):
+    config = json.loads(Path(reference_design_config(
+        tmp_path, [0, 1, 5, 10], ref.POOLED_ESTIMATES["np"][0])).read_text())
+    config["levels"][label][attr] = values
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(config))
+    assert main(["design", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: levels: {message}\n"
 
 
 def test_design_overflowing_utility_exit_2(tmp_path, capsys):

@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exitchoice
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         ModelSpec, Scenario, as_params, choice_probabilities,
                         d_error, fisher_information, fit_mnl,
                         generate_dataset, gradient, hessian, log_likelihood,
-                        search_design, softmax, systematic_utility, utilities)
+                        search_design, systematic_utility, utilities)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
+
+from oracles import softmax
 
 POOLED_BETA = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -115,22 +118,44 @@ def test_probabilities_sum_to_one_randomized():
         assert np.all(p > 0) and np.all(p < 1)
 
 
+def shifted_scenario(scenario, attr, shift, alternatives=None):
+    """``scenario`` with ``shift`` added to ``attr`` of the alternatives at
+    the indices ``alternatives`` (all of them by default)."""
+    return Scenario(id=scenario.id, alternatives=tuple(
+        (label, dataclasses.replace(attrs, **{attr: getattr(attrs, attr)
+                                              + shift})
+         if alternatives is None or j in alternatives else attrs)
+        for j, (label, attrs) in enumerate(scenario.alternatives)))
+
+
 def test_translation_invariance_of_softmax():
+    # one attribute shifted on every alternative adds the same amount to
+    # every utility, which the logit probabilities ignore
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        v = rng.normal(0, 5, size=int(rng.integers(2, 6)))
-        shift = rng.uniform(-40, 40)
-        np.testing.assert_allclose(softmax(v), softmax(v + shift), atol=1e-12)
+    spec = ref.FIRST_CHOICE_SPEC
+    for i in range(300):
+        scenario = random_scenario(rng, n_alts=int(rng.integers(2, 6)))
+        beta = rng.normal(0, 1, spec.n_params)
+        c1 = int(rng.integers(0, 2))
+        shifted = shifted_scenario(scenario, ("np", "dist")[i % 2],
+                                   rng.uniform(0, 40))
+        np.testing.assert_allclose(
+            choice_probabilities(spec, beta, scenario, c1),
+            choice_probabilities(spec, beta, shifted, c1), atol=1e-12)
 
 
 def test_monotonicity_in_one_utility():
+    # raising np on alternative 1 alone, with a positive np coefficient,
+    # raises its utility and no other
     rng = np.random.default_rng(11)
+    spec = ref.POOLED_SPEC
     for _ in range(100):
-        v = rng.normal(0, 2, 4)
-        p_before = softmax(v)
-        bumped = v.copy()
-        bumped[1] += rng.uniform(0.01, 1.0)
-        p_after = softmax(bumped)
+        scenario = random_scenario(rng, n_alts=4)
+        beta = rng.normal(0, 1, spec.n_params)
+        beta[spec.coef_names().index("np")] = rng.uniform(0.1, 1.0)
+        p_before = choice_probabilities(spec, beta, scenario)
+        bumped = shifted_scenario(scenario, "np", rng.uniform(0.1, 1.0), {1})
+        p_after = choice_probabilities(spec, beta, bumped)
         assert p_after[1] > p_before[1]
         for j in (0, 2, 3):
             assert p_after[j] < p_before[j]
@@ -449,8 +474,20 @@ def test_design_rows_equal_loop_reference_bitwise(problem):
                          for _, attrs in scenario.alternatives])
         got = spec.design_matrix(scenario, c1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        for row, (_, attrs) in zip(want, scenario.alternatives):
-            assert spec.design_row(attrs, c1).tobytes() == row.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_problems(), st.data())
+def test_systematic_utility_equals_loop_reference_bitwise(problem, data):
+    spec, sets = problem
+    beta = np.array(data.draw(st.lists(
+        st.floats(-3.0, 3.0), min_size=spec.n_params,
+        max_size=spec.n_params)))
+    for scenario, c1 in sets:
+        for _, attrs in scenario.alternatives:
+            want = float(loop_design_row(spec, attrs, c1) @ beta)
+            got = systematic_utility(spec, beta, attrs, c1)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -551,9 +588,37 @@ def test_choice_sets_tensor_equals_chained_build(problem):
 def test_design_rows_reject_non_binary_c1():
     scenario = ref.EXPERIMENT_SCENARIOS[0]
     _, exit_a = scenario.alternatives[0]
-    for call in (lambda: ref.FIRST_CHOICE_SPEC.design_row(exit_a, 2),
+    beta = ref.estimates_vector(ref.FIRST_CHOICE_SPEC,
+                                ref.FIRST_CHOICE_ESTIMATES)
+    for call in (lambda: systematic_utility(ref.FIRST_CHOICE_SPEC, beta,
+                                            exit_a, 2),
                  lambda: ref.FIRST_CHOICE_SPEC.design_matrix(scenario, -1),
                  lambda: _ChoiceSets.from_scenarios([scenario],
                                                     ref.FIRST_CHOICE_SPEC, 2)):
         with pytest.raises(ValueError, match="c1 must be 0 or 1"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# public API
+# ---------------------------------------------------------------------------
+
+PUBLIC_API = [
+    "ATTRIBUTES", "ChoiceObservation", "EfficientDesign", "ExitAttributes",
+    "FactorLevels", "InferenceRow", "ModelFit", "ModelSpec",
+    "NotIdentifiedError", "Scenario", "SensitivityConfig",
+    "SeparationWarning", "as_params", "choice_probabilities", "d_error",
+    "effective_coefficients", "fisher_information", "fit_mnl",
+    "full_factorial", "generate_dataset", "gradient", "hessian",
+    "inference_table", "log_likelihood", "search_design",
+    "sensitivity_curve", "systematic_utility", "two_sided_p", "utilities",
+]
+
+
+def test_public_api_is_pinned():
+    # a name added to or dropped from the package's API fails here first
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert exitchoice.__all__ == PUBLIC_API
+    namespace = {}
+    exec("from exitchoice import *", namespace)
+    assert set(PUBLIC_API) <= set(namespace)

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         FactorLevels, ModelSpec, NotIdentifiedError, Scenario,
                         d_error, fisher_information, full_factorial, hessian,
-                        search_design, softmax)
+                        search_design)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
 from exitchoice.design import (_RANK_RTOL, _SCREEN_RTOL, _candidate_terms,
                                _d_errors, _scan)
+
+from oracles import softmax
 
 POOLED_PRIORS = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -77,6 +79,22 @@ def test_factor_levels_reject_empty_level_list():
         FactorLevels(levels={
             "A": {"np": (), "dist": (2.0,), "smoke": (0,), "fam": (1,)},
             "B": {"np": (0,), "dist": (3.0,), "smoke": (0,), "fam": (0,)}})
+
+
+@pytest.mark.parametrize("label, attr, values, message", [
+    ("B", "smoke", (0.5, 0), "exit 'B': smoke must be 0 or 1, got 0.5"),
+    ("C", "np", (-1, 5), "exit 'C': np must be finite and >= 0, got -1"),
+    ("A", "fam", (0, 1, 2), "exit 'A': fam must be 0 or 1, got 2"),
+])
+def test_factor_levels_reject_invalid_level_naming_the_exit(label, attr,
+                                                            values, message):
+    # every level is checked, not only the first of each list
+    levels = {lab: dict(per)
+              for lab, per in ref.EXPERIMENT_LEVELS.levels.items()}
+    levels[label][attr] = values
+    with pytest.raises(ValueError) as excinfo:
+        FactorLevels(levels=levels)
+    assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         ModelSpec, Scenario, SensitivityConfig,
                         choice_probabilities, effective_coefficients,
                         fit_mnl, generate_dataset, sensitivity_curve,
-                        softmax, utilities)
+                        utilities)
 from exitchoice import reference as ref
 from exitchoice.simulation import RULES
+
+from oracles import softmax
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))
@@ -366,6 +368,18 @@ def test_sensitivity_config_validation():
     with pytest.raises(ValueError, match="not in the model"):
         sensitivity_curve({"np": (0.2, 0.1)}, SensitivityConfig(
             sweep_attr="dist", start=0, stop=1, step=1))
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400):
+        for name in ("start", "stop", "step"):
+            bounds = {"start": 0.0, "stop": 1.0, "step": 0.5, name: bad}
+            with pytest.raises(ValueError,
+                               match=f"sweep {name} must be finite"):
+                SensitivityConfig(sweep_attr="np", **bounds)
+    # point counts that pass the float range, from the quotient and from
+    # the span
+    for start, stop, step in ((0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match="too many points to count"):
+            SensitivityConfig(sweep_attr="np", start=start, stop=stop,
+                              step=step)
 
 
 @pytest.mark.parametrize("alpha", [2, 1, 0, -1, float("nan")])
