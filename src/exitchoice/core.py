@@ -51,6 +51,15 @@ def _check_binary(value, name):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
+def _check_amount(value, name):
+    try:
+        if 0 <= value <= _MAX:
+            return
+    except TypeError:  # not a number: show its repr, as '5' or None
+        value = repr(value)
+    raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class ExitAttributes:
     """Attribute vector of one exit alternative.
@@ -74,10 +83,8 @@ class ExitAttributes:
     fam: int
 
     def __post_init__(self):
-        if not 0 <= self.np <= _MAX:
-            raise ValueError(f"np must be finite and >= 0, got {self.np}")
-        if not 0 <= self.dist <= _MAX:
-            raise ValueError(f"dist must be finite and >= 0, got {self.dist}")
+        _check_amount(self.np, "np")
+        _check_amount(self.dist, "dist")
         _check_binary(self.smoke, "smoke")
         _check_binary(self.fam, "fam")
 

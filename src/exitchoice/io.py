@@ -10,9 +10,11 @@ an exit, flags always as ``0``/``1``.
 
 A read returns shared immutable objects: one ``ExitAttributes`` per distinct
 exit cell text and, in a choice file, one ``Scenario`` per distinct scenario
-id and alternatives, for the first 4,096 of each.  Every check still runs on
-every row, so each error cites its own line.  The rows of one obs_id must be
-contiguous and agree on participant_id and scenario_id.
+text.  A choice file is read one observation at a time: the rows of one
+obs_id must be contiguous and agree on participant_id and scenario_id.  An
+observation whose scenario_id, labels and exit cells repeat an earlier
+one's text takes that scenario without decoding it again; its flags are
+checked every time.  Every error still cites its own line, or the obs_id.
 
 One checker, ``_fields``, reads every object of the run config and names
 the dotted key of each error.  The readers return only the options a config
@@ -25,7 +27,7 @@ import csv
 import json
 import math
 import sys
-from itertools import groupby
+from contextlib import contextmanager
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -56,10 +58,13 @@ class ConfigError(ValueError):
 #: The cell of a 0/1 flag; ``True`` and ``1.0`` hash like ``1``.
 _FLAG_CELLS = {0: "0", 1: "1"}
 _FLAG_VALUES = {"0": 0, "1": 1}
+_FLAGS = frozenset(_FLAG_VALUES)
 
-#: Distinct exits, and distinct scenarios, that one read shares.  The
-#: memos stop growing there, so a file of mostly distinct choice sets pays
-#: no memory for interning that would never hit.
+#: Most entries a memo of one read holds, so a file of mostly distinct
+#: choice sets pays little memory for sharing that would never hit.  A memo
+#: keyed by cell text stops growing there.  The one keyed by scenario id is
+#: emptied and starts again, so a long read keeps sharing the scenarios of
+#: its recent rows; its entries are objects the read returns anyway.
 _MEMO_SIZE = 4096
 
 
@@ -89,43 +94,64 @@ def _decode_exit(cells: tuple[str, str, str, str],
     """The exit written as ``np, dist_m, smoke, fam`` cells.
 
     ``memo`` maps the cell tuples decoded earlier in the same read to their
-    exit, so equal cell text gives one shared object.  Cells that fail to
-    decode are never stored, so every row that has them raises.
+    exit, so equal cell text gives one shared object.  It stops growing at
+    ``_MEMO_SIZE`` entries.  Cells that fail to decode are never stored, so
+    every row that has them raises.
     """
     attrs = memo.get(cells)
     if attrs is None:
-        attrs = ExitAttributes(
-            np=float(cells[0]), dist=float(cells[1]),
-            smoke=_parse_binary(cells[2], "smoke"),
-            fam=_parse_binary(cells[3], "fam"))
+        attrs = ExitAttributes(float(cells[0]), float(cells[1]),
+                               _parse_binary(cells[2], "smoke"),
+                               _parse_binary(cells[3], "fam"))
         if len(memo) < _MEMO_SIZE:
             memo[cells] = attrs
     return attrs
+
+
+def _line_error(line: int, exc) -> DataFileError:
+    return DataFileError(f"line {line}: {exc}")
+
+
+@contextmanager
+def _table(path) -> Iterator[tuple[list | None, Iterator]]:
+    """Open a CSV table: its header row (None for an empty file) and an
+    iterator over its data rows as ``(line, row)`` pairs.
+
+    Blank and footer rows are skipped, and every other row must have as
+    many fields as the header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        yield header, _data_rows(reader, header)
+
+
+def _data_rows(reader, header) -> Iterator[tuple[int, list]]:
+    width = len(header)
+    for item in enumerate(reader, start=2):
+        row = item[1]
+        if not row or (len(row) == 1 and row[0].startswith("#")):
+            continue
+        if len(row) != width:
+            raise _line_error(item[0],
+                              f"expected {width} fields, got {len(row)}")
+        yield item
 
 
 def _read_rows(path, parser: Callable) -> Iterator:
     """Yield the parsed data rows of a CSV table, one at a time.
 
     ``parser(header)`` checks the header row (None for an empty file) and
-    returns the row parser.  Blank and footer rows are skipped, every other
-    row must have as many fields as the header, and a ValueError from the
-    row parser becomes a DataFileError citing the line.
+    returns the row parser.  A ValueError from the row parser becomes a
+    DataFileError citing the line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _table(path) as (header, rows):
         parse = parser(header)
-        width = len(header)
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].startswith("#")):
-                continue
-            if len(row) != width:
-                raise DataFileError(
-                    f"line {line}: expected {width} fields, got {len(row)}")
+        for line, row in rows:
             try:
                 item = parse(row)
             except ValueError as exc:
-                raise DataFileError(f"line {line}: {exc}") from exc
+                raise _line_error(line, exc) from exc
             yield item
 
 
@@ -146,47 +172,66 @@ def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence],
 
 def write_choice_csv(path, observations: Sequence[ChoiceObservation]) -> None:
     """Write observations as long-format rows, one per alternative."""
-    _write_rows(path, CHOICE_HEADER, (
-        (i + 1, obs.participant_id, obs.scenario.id, label,
-         *_encode_exit(attrs), int(j == obs.chosen),
-         _FLAG_CELLS[obs.first_choice])
-        for i, obs in enumerate(observations)
-        for j, (label, attrs) in enumerate(obs.scenario.alternatives)))
+    _write_rows(path, CHOICE_HEADER, _choice_rows(observations))
 
 
-def _choice_parser(header):
+def _choice_rows(observations: Iterable[ChoiceObservation]) -> Iterator:
+    """The rows of each observation.  The exit cells of a ``Scenario`` are
+    encoded once per run of consecutive observations of that object, and
+    every cell but participant_id and scenario_id goes to csv as text."""
+    previous = None
+    for number, obs in enumerate(observations, start=1):
+        obs_id, scenario, chosen = str(number), obs.scenario, obs.chosen
+        participant, first_choice = obs.participant_id, \
+            _FLAG_CELLS[obs.first_choice]
+        if scenario is not previous:
+            previous, scenario_id = scenario, scenario.id
+            exits = [(label, _encode_exit(attrs))
+                     for label, attrs in scenario.alternatives]
+        for j, (label, cells) in enumerate(exits):
+            yield (obs_id, participant, scenario_id, label, *cells,
+                   _FLAG_CELLS[j == chosen], first_choice)
+
+
+def _check_choice_header(header) -> None:
     if header is None:
         raise DataFileError("no observations: file is empty")
     if tuple(header) != CHOICE_HEADER:
         raise DataFileError(
             f"bad header {header!r}; expected {','.join(CHOICE_HEADER)}")
-    exits: dict = {}
-    done: set = set()  # obs_ids whose rows have started
-    head = [None]  # the first row of the observation being read
 
-    def parse(row):
-        """``(obs_id, participant, scenario_id, (label, attrs), chosen,
-        first_choice)``.  An observation's rows are contiguous and agree
-        with its first row on participant_id and scenario_id."""
-        nonlocal head
-        obs_id = row[0]
-        if obs_id != head[0]:
-            if obs_id in done:
-                raise ValueError(f"obs_id {obs_id} reappears after the rows "
-                                 "of another observation")
-            done.add(obs_id)
-            head = row
-        elif row[1] != head[1] or row[2] != head[2]:
-            column = 1 if row[1] != head[1] else 2
-            raise ValueError(
-                f"obs_id {obs_id}: {CHOICE_HEADER[column]} {row[column]!r} "
-                f"differs from {head[column]!r} in its first row")
-        return (obs_id, row[1], row[2],
-                (row[3], _decode_exit((row[4], row[5], row[6], row[7]),
-                                      exits)),
-                _parse_binary(row[8], "chosen"),
-                _parse_binary(row[9], "first_choice"))
-    return parse
+
+def _observation_rows(rows: Iterable) -> Iterator:
+    """Each observation's contiguous ``(lines, rows, text)``.  Its rows
+    agree with its first row on participant_id and scenario_id, and its
+    obs_id appears nowhere else.  ``text`` holds its scenario_id and the
+    label and exit cells of each row."""
+    done: set = set()  # obs_ids whose rows have started
+    head = (None,)  # the first row of the observation being read
+    lines: list = []
+    group: list = []
+    text: list = []
+    for line, row in rows:
+        if row[0] == head[0]:
+            if row[1] != head[1] or row[2] != head[2]:
+                column = 1 if row[1] != head[1] else 2
+                raise _line_error(line, (
+                    f"obs_id {row[0]}: {CHOICE_HEADER[column]} "
+                    f"{row[column]!r} differs from {head[column]!r} in its "
+                    "first row"))
+            lines.append(line)
+            group.append(row)
+            text += row[3:8]
+            continue
+        if row[0] in done:
+            raise _line_error(line, f"obs_id {row[0]} reappears after the "
+                                    "rows of another observation")
+        done.add(row[0])
+        if group:
+            yield lines, group, tuple(text)
+        head, lines, group, text = row, [line], [row], row[2:8]
+    if group:
+        yield lines, group, tuple(text)
 
 
 def read_choice_csv(path) -> list[ChoiceObservation]:
@@ -195,42 +240,83 @@ def read_choice_csv(path) -> list[ChoiceObservation]:
     Each obs_id must have at least two contiguous rows that agree on
     participant_id and scenario_id, exactly one with chosen=1 and a
     constant first_choice flag.  Errors cite the offending line number or
-    obs_id.  Observations of equal scenarios share one ``Scenario`` object,
-    and equal exit cells one ``ExitAttributes`` object (the first 4,096
-    distinct ones each).
+    obs_id.  Observations with the same scenario text share one
+    ``Scenario`` object, and equal exit cells one ``ExitAttributes``
+    object.  A scenario equal to the one last read with its id, such as
+    the same exits written as ``1`` and ``1.0``, is shared too.
     """
-    scenarios: dict = {}
+    exits: dict = {}  # exit cell text -> ExitAttributes
+    scenarios: dict = {}  # scenario text -> Scenario
+    latest: dict = {}  # scenario id -> the Scenario last decoded with it
     observations = []
-    for obs_id, rows in groupby(_read_rows(path, _choice_parser),
-                                 key=itemgetter(0)):
-        (_, participants, scenario_ids, alternatives, chosen,
-         first_choice) = zip(*rows)
-        if len(alternatives) < 2:
-            raise DataFileError(
-                f"obs_id {obs_id}: needs at least 2 alternative rows")
-        if chosen.count(1) != 1:
-            raise DataFileError(
-                f"obs_id {obs_id}: expected exactly one chosen=1 row, "
-                f"found {chosen.count(1)}")
-        if first_choice.count(first_choice[0]) != len(first_choice):
-            raise DataFileError(
-                f"obs_id {obs_id}: first_choice differs across rows")
-        key = (scenario_ids[0], alternatives)
-        scenario = scenarios.get(key)
-        if scenario is None:
-            try:
-                scenario = Scenario(id=scenario_ids[0],
-                                    alternatives=alternatives)
-            except ValueError as exc:
-                raise DataFileError(f"obs_id {obs_id}: {exc}") from exc
-            if len(scenarios) < _MEMO_SIZE:  # the key reuses its tuple
-                scenarios[scenario.id, scenario.alternatives] = scenario
-        observations.append(ChoiceObservation(
-            participant_id=participants[0], scenario=scenario,
-            chosen=chosen.index(1), first_choice=first_choice[0]))
+    with _table(path) as (header, rows):
+        _check_choice_header(header)
+        for lines, group, text in _observation_rows(rows):
+            scenario = scenarios.get(text)
+            if scenario is None:
+                scenario = _decode_scenario(lines, group, exits, latest)
+                if len(scenarios) < _MEMO_SIZE:
+                    scenarios[text] = scenario
+            observations.append(ChoiceObservation(
+                group[0][1], scenario, *_choice_flags(lines, group)))
     if not observations:
         raise DataFileError("no observations: file has a header but no rows")
     return observations
+
+
+_exit_cells = itemgetter(4, 5, 6, 7)
+_chosen_cell = itemgetter(8)
+_first_choice_cell = itemgetter(9)
+
+
+def _decode_scenario(lines: list, rows: list, exits: dict,
+                     latest: dict) -> Scenario:
+    """The scenario of one observation's rows.  ``exits`` shares equal
+    exits across the read, and ``latest`` the scenario last decoded with
+    the same id if they are equal."""
+    alternatives = []
+    for line, row in zip(lines, rows):
+        try:
+            alternatives.append((row[3], _decode_exit(_exit_cells(row),
+                                                      exits)))
+        except ValueError as exc:
+            raise _line_error(line, exc) from exc
+    if len(rows) < 2:
+        raise DataFileError(
+            f"obs_id {rows[0][0]}: needs at least 2 alternative rows")
+    try:
+        scenario = Scenario(rows[0][2], alternatives)
+    except ValueError as exc:
+        raise DataFileError(f"obs_id {rows[0][0]}: {exc}") from exc
+    same_id = latest.get(scenario.id)
+    if same_id is not None and same_id == scenario:
+        return same_id
+    if len(latest) >= _MEMO_SIZE:
+        latest.clear()
+    latest[scenario.id] = scenario
+    return scenario
+
+
+def _choice_flags(lines: list, rows: list) -> tuple[int, int]:
+    """The chosen row and the first_choice flag of one observation's rows,
+    which must have every flag 0 or 1, one chosen=1 and one first_choice."""
+    chosen = list(map(_chosen_cell, rows))
+    first_choice = list(map(_first_choice_cell, rows))
+    if (chosen.count("1") == 1 and _FLAGS.issuperset(chosen)
+            and first_choice.count(first_choice[0]) == len(rows)
+            and first_choice[0] in _FLAG_VALUES):
+        return chosen.index("1"), _FLAG_VALUES[first_choice[0]]
+    for line, row in zip(lines, rows):
+        try:
+            _parse_binary(row[8], "chosen")
+            _parse_binary(row[9], "first_choice")
+        except ValueError as exc:
+            raise _line_error(line, exc) from exc
+    if chosen.count("1") != 1:
+        raise DataFileError(f"obs_id {rows[0][0]}: expected exactly one "
+                            f"chosen=1 row, found {chosen.count('1')}")
+    raise DataFileError(f"obs_id {rows[0][0]}: first_choice differs across "
+                        "rows")
 
 
 # ---------------------------------------------------------------------------

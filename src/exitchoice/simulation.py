@@ -32,6 +32,10 @@ RULES = ("base", "sum", "significant")
 #: decision-maker is familiar with, and the fam attribute of exits A and B.
 FAMILIARITY = {"A": (1.0, 0.0), "B": (0.0, 1.0), "both": (1.0, 1.0)}
 
+#: Most points one sensitivity sweep may have; a curve of this many points
+#: takes seconds, and a larger count is almost surely a mistyped step.
+MAX_SWEEP_POINTS = 1_000_000
+
 
 def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
                      n_per_scenario: int, c1_pattern: float = 0.25,
@@ -152,7 +156,8 @@ class SensitivityConfig:
     ``start, start+step, ... <= stop`` while the fixed exit (exit B) keeps
     ``fixed_exit``'s attributes.  The familiarity condition sets the fam
     attribute of both exits, as ``FAMILIARITY`` maps it.  ``start``,
-    ``stop``, ``step`` and the point count must be finite.
+    ``stop`` and ``step`` must be finite, and the sweep may have at most
+    ``MAX_SWEEP_POINTS`` points.
     ``rule``/``alpha`` select how interaction coefficients are collapsed.
     """
 
@@ -180,6 +185,10 @@ class SensitivityConfig:
             raise ValueError(
                 f"sweep from {self.start!r} to {self.stop!r} by "
                 f"{self.step!r} has too many points to count")
+        if self._count() > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"sweep from {self.start!r} to {self.stop!r} by "
+                f"{self.step!r} has more than {MAX_SWEEP_POINTS:,} points")
         if self.familiarity not in FAMILIARITY:
             raise ValueError(
                 f"familiarity must be one of {tuple(FAMILIARITY)}, "
@@ -192,9 +201,11 @@ class SensitivityConfig:
         """(stop - start) / step in floats, +inf past the float range."""
         return (float(self.stop) - float(self.start)) / float(self.step)
 
+    def _count(self) -> int:
+        return int(math.floor(self._steps() + 1e-9)) + 1
+
     def sweep_values(self) -> np.ndarray:
-        count = int(math.floor(self._steps() + 1e-9)) + 1
-        return self.start + self.step * np.arange(count)
+        return self.start + self.step * np.arange(self._count())
 
 
 def sensitivity_curve(params: Mapping,

@@ -210,6 +210,19 @@ def test_exit_attributes_reject_non_finite(bad):
         ExitAttributes(np=0, dist=bad, smoke=0, fam=0)
 
 
+@pytest.mark.parametrize("bad, shown", [("5", "'5'"), (None, "None"),
+                                        ("nan", "'nan'"), ([1], "[1]")])
+def test_exit_attributes_reject_non_numbers_with_value_error(bad, shown):
+    # a comparison with a string or None raises TypeError; it is reported
+    # as the usual ValueError, with the value's repr
+    with pytest.raises(ValueError) as info:
+        ExitAttributes(np=bad, dist=1.0, smoke=0, fam=0)
+    assert str(info.value) == f"np must be finite and >= 0, got {shown}"
+    with pytest.raises(ValueError) as info:
+        ExitAttributes(np=1.0, dist=bad, smoke=0, fam=0)
+    assert str(info.value) == f"dist must be finite and >= 0, got {shown}"
+
+
 def test_scenario_needs_two_distinct_labels():
     a = ExitAttributes(np=0, dist=1, smoke=0, fam=0)
     with pytest.raises(ValueError, match="at least 2"):

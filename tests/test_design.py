@@ -85,6 +85,9 @@ def test_factor_levels_reject_empty_level_list():
     ("B", "smoke", (0.5, 0), "exit 'B': smoke must be 0 or 1, got 0.5"),
     ("C", "np", (-1, 5), "exit 'C': np must be finite and >= 0, got -1"),
     ("A", "fam", (0, 1, 2), "exit 'A': fam must be 0 or 1, got 2"),
+    ("B", "dist", (2.0, "5"), "exit 'B': dist must be finite and >= 0, "
+                              "got '5'"),
+    ("A", "np", (None,), "exit 'A': np must be finite and >= 0, got None"),
 ])
 def test_factor_levels_reject_invalid_level_naming_the_exit(label, attr,
                                                             values, message):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
@@ -18,6 +18,8 @@ from exitchoice import (ChoiceObservation, ExitAttributes, ModelSpec,
 from exitchoice import io
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
+
+from oracles import write_choice_csv_per_row
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES)
@@ -215,17 +217,24 @@ def test_choice_csv_read_past_the_memo_size_equals_oracle(tmp_path,
                                                          monkeypatch):
     monkeypatch.setattr(io, "_MEMO_SIZE", 3)
     path = tmp_path / "choices.csv"
-    data = sample_data(n=2, seed=1)
-    io.write_choice_csv(path, data)
-    back = io.read_choice_csv(path)
-    assert back == oracle_read_choice_csv(path)
-    assert len({id(obs.scenario) for obs in back}) > 8
-    exits = {id(attrs)
-             for obs in back for _, attrs in obs.scenario.alternatives}
-    assert 18 < len(exits) < 3 * len(back)
-    sets = _ChoiceSets.from_observations(back, SPEC2)
-    assert sets.counts.tolist() == \
-        _ChoiceSets.from_observations(data, SPEC2).counts.tolist()
+    data = sample_data(n=2, seed=1)  # each scenario's observations adjacent
+    # and the same observations cycling through the 8 scenarios
+    for order, n_scenarios in ((data, 8), (data[::2] + data[1::2], None)):
+        io.write_choice_csv(path, order)
+        back = io.read_choice_csv(path)
+        assert back == oracle_read_choice_csv(path)
+        scenarios = {id(obs.scenario) for obs in back}
+        if n_scenarios is None:
+            assert len(scenarios) > 8  # the memos hold 3 entries
+        else:
+            # a full memo is emptied, not frozen: adjacent repeats share
+            assert len(scenarios) == n_scenarios
+        exits = {id(attrs)
+                 for obs in back for _, attrs in obs.scenario.alternatives}
+        assert 18 < len(exits) < 3 * len(back)
+        sets = _ChoiceSets.from_observations(back, SPEC2)
+        assert sets.counts.tolist() == \
+            _ChoiceSets.from_observations(order, SPEC2).counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +451,123 @@ def test_choice_csv_read_equals_oracle_and_shares_objects(tmp_path_factory,
     for obs in back:
         key = (obs.scenario.id, obs.scenario.alternatives)
         assert scenarios.setdefault(key, obs.scenario) is obs.scenario
+
+
+FAULTS = ("flag", "amount", "participant_id", "scenario_id", "reappear",
+          "one_row", "two_chosen", "first_choice", "width")
+_FLAG_COLUMNS = {6: "smoke", 7: "fam", 8: "chosen", 9: "first_choice"}
+
+
+def inject_fault(rows, fault, draw):
+    """Put one ``fault`` into the data rows of a written choice file (row i
+    on line i + 2) and return the error that reading it must raise."""
+    starts = [i for i, row in enumerate(rows)
+              if i == 0 or row[0] != rows[i - 1][0]]
+    first = draw(st.sampled_from(starts))
+    end = next((i for i in starts if i > first), len(rows))
+    obs_id = rows[first][0]
+    row = draw(st.integers(first + 1, end - 1))  # not the observation's first
+    if fault == "flag":
+        column = draw(st.sampled_from(sorted(_FLAG_COLUMNS)))
+        row = draw(st.integers(first, end - 1))
+        bad = draw(st.sampled_from(["2", "x", "", "1.0", "True", " 1"]))
+        rows[row][column] = bad
+        return (f"line {row + 2}: {_FLAG_COLUMNS[column]} must be 0 or 1, "
+                f"got {bad!r}")
+    if fault == "amount":
+        column = draw(st.sampled_from([4, 5]))
+        row = draw(st.integers(first, end - 1))
+        bad = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "-0.5",
+                                    "1e400", "five"]))
+        rows[row][column] = bad
+        if bad == "five":
+            return f"line {row + 2}: could not convert string to float: 'five'"
+        name = "np" if column == 4 else "dist"
+        return (f"line {row + 2}: {name} must be finite and >= 0, "
+                f"got {float(bad)}")
+    if fault in ("participant_id", "scenario_id"):
+        column = io.CHOICE_HEADER.index(fault)
+        old = rows[first][column]
+        rows[row][column] = old + "x"
+        return (f"line {row + 2}: obs_id {obs_id}: {fault} {old + 'x'!r} "
+                f"differs from {old!r} in its first row")
+    if fault == "reappear":
+        assume(len(starts) > 1)
+        rows.append(list(rows[0]))
+        return (f"line {len(rows) + 1}: obs_id {rows[0][0]} reappears after "
+                "the rows of another observation")
+    if fault == "one_row":
+        del rows[first + 1:end]
+        return f"obs_id {obs_id}: needs at least 2 alternative rows"
+    if fault == "two_chosen":
+        row = draw(st.sampled_from([i for i in range(first, end)
+                                    if rows[i][8] == "0"]))
+        rows[row][8] = "1"
+        return f"obs_id {obs_id}: expected exactly one chosen=1 row, found 2"
+    if fault == "first_choice":
+        rows[row][9] = "1" if rows[row][9] == "0" else "0"
+        return f"obs_id {obs_id}: first_choice differs across rows"
+    assert fault == "width"
+    row = draw(st.integers(first, end - 1))
+    if draw(st.booleans()):
+        rows[row].pop()
+    else:
+        rows[row].append("")
+    return f"line {row + 2}: expected 10 fields, got {len(rows[row])}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(repetitive_observation_lists(), st.sampled_from(FAULTS), st.data())
+def test_choice_csv_injected_fault_raises_its_message(tmp_path_factory, data,
+                                                       fault, draws):
+    path = tmp_path_factory.mktemp("fault") / "choices.csv"
+    io.write_choice_csv(path, data)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    message = inject_fault(rows, fault, draws.draw)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    with pytest.raises(io.DataFileError) as info:
+        io.read_choice_csv(path)
+    assert str(info.value) == message
+
+
+_quoted = st.text(string.ascii_letters + ',"# ', min_size=1, max_size=4)
+
+
+@st.composite
+def observation_runs(draw):
+    """Runs of observations of one ``Scenario`` object, where a scenario
+    may come back as another, equal object, and labels, participant and
+    scenario ids may need CSV quoting (a comma, a quote, a leading #)."""
+    scenarios = [Scenario(id=draw(st.integers(0, 3) | _quoted),
+                          alternatives=tuple(
+                              (label, draw(_exits)) for label in draw(
+                                  st.lists(_quoted, min_size=2, max_size=3,
+                                           unique=True))))
+                 for _ in range(draw(st.integers(1, 3)))]
+    data = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = draw(st.sampled_from(scenarios))
+        if draw(st.booleans()):
+            s = Scenario(id=s.id, alternatives=s.alternatives)
+        data.extend(ChoiceObservation(
+                        participant_id=draw(_quoted | st.integers(0, 9)),
+                        scenario=s,
+                        chosen=draw(st.integers(0, s.n_alternatives - 1)),
+                        first_choice=draw(_flags))
+                    for _ in range(draw(st.integers(1, 4))))
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(observation_runs())
+def test_choice_csv_write_equals_per_row_oracle(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("write")
+    io.write_choice_csv(directory / "runs.csv", data)
+    write_choice_csv_per_row(directory / "oracle.csv", data)
+    assert (directory / "runs.csv").read_bytes() == \
+        (directory / "oracle.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         fit_mnl, generate_dataset, sensitivity_curve,
                         utilities)
 from exitchoice import reference as ref
-from exitchoice.simulation import RULES
+from exitchoice.simulation import MAX_SWEEP_POINTS, RULES
 
 from oracles import softmax
 
@@ -380,6 +380,21 @@ def test_sensitivity_config_validation():
         with pytest.raises(ValueError, match="too many points to count"):
             SensitivityConfig(sweep_attr="np", start=start, stop=stop,
                               step=step)
+
+
+@pytest.mark.parametrize("stop, step", [
+    (1e300, 1.0), (1e9, 1.0), (1.0, 1e-9), (float(MAX_SWEEP_POINTS), 1.0)])
+def test_sensitivity_config_caps_the_point_count(stop, step):
+    # rejected when built, before any array of the sweep is allocated
+    with pytest.raises(ValueError) as info:
+        SensitivityConfig(sweep_attr="np", start=0.0, stop=stop, step=step)
+    assert str(info.value) == (
+        f"sweep from 0.0 to {stop!r} by {step!r} has more than "
+        f"{MAX_SWEEP_POINTS:,} points")
+    # one point fewer is accepted
+    config = SensitivityConfig(sweep_attr="np", start=0.0,
+                               stop=MAX_SWEEP_POINTS - 1.0, step=1.0)
+    assert config._count() == MAX_SWEEP_POINTS
 
 
 @pytest.mark.parametrize("alpha", [2, 1, 0, -1, float("nan")])
