@@ -26,8 +26,8 @@ from .core import (ATTRIBUTES, ChoiceObservation, ExitAttributes, ModelSpec,
 from .design import (EfficientDesign, FactorLevels, d_error,
                      fisher_information, full_factorial, search_design)
 from .estimation import (InferenceRow, ModelFit, NotIdentifiedError,
-                         SeparationWarning, fit_mnl, gradient, hessian,
-                         inference_table, log_likelihood, two_sided_p)
+                         SeparationWarning, fit_mnl, hessian, inference_table,
+                         log_likelihood, two_sided_p)
 from .simulation import (SensitivityConfig, effective_coefficients,
                          generate_dataset, sensitivity_curve)
 
@@ -39,7 +39,7 @@ __all__ = [
     "NotIdentifiedError", "Scenario", "SensitivityConfig",
     "SeparationWarning", "as_params", "choice_probabilities", "d_error",
     "effective_coefficients", "fisher_information", "fit_mnl",
-    "full_factorial", "generate_dataset", "gradient", "hessian",
-    "inference_table", "log_likelihood", "search_design",
-    "sensitivity_curve", "systematic_utility", "two_sided_p", "utilities",
+    "full_factorial", "generate_dataset", "hessian", "inference_table",
+    "log_likelihood", "search_design", "sensitivity_curve",
+    "systematic_utility", "two_sided_p", "utilities",
 ]

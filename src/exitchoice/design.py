@@ -70,6 +70,14 @@ _SCREEN_RTOL = 1e-8
 #: base.
 _CONFIRM_RTOL = 1e-9
 
+#: Most scenarios ``full_factorial`` enumerates: a search over n candidates
+#: holds n K x K informations, n J x K factors and n ``Scenario`` objects.
+MAX_CANDIDATES = 100_000
+
+#: Most restarts of ``search_design``: one takes about 10 ms on the 2048
+#: reference candidates, and a larger count is almost surely a typo.
+MAX_RESTARTS = 10_000
+
 
 @dataclass(frozen=True)
 class FactorLevels:
@@ -106,7 +114,7 @@ class FactorLevels:
                                       for attr, values in attrs.items()})
             except ValueError as exc:
                 raise ValueError(f"exit {label!r}: {exc}") from exc
-            normalized[label] = attrs
+            normalized[label] = {attr: attrs[attr] for attr in ATTRIBUTES}
         if len(normalized) < 2:
             raise ValueError("need levels for at least two exits")
         object.__setattr__(self, "levels", normalized)
@@ -128,8 +136,6 @@ class EfficientDesign:
 
     scenarios: tuple[Scenario, ...]
     d_error: float
-    priors: np.ndarray
-    spec: ModelSpec
 
 
 def full_factorial(levels: FactorLevels) -> list[Scenario]:
@@ -137,20 +143,18 @@ def full_factorial(levels: FactorLevels) -> list[Scenario]:
 
     Axes are ordered by (exit label order, registry attribute order) and the
     cartesian product is emitted in lexicographic order with the last axis
-    varying fastest.  Scenario ids are 1-based enumeration positions.
+    varying fastest.  Scenario ids are 1-based enumeration positions, and
+    scenarios share each exit's ``ExitAttributes``.  More than
+    ``MAX_CANDIDATES`` scenarios raise ValueError before any is built.
     """
-    labels = levels.labels
-    n_attr = len(ATTRIBUTES)
-    axes = [levels.levels[label][attr]
-            for label in labels for attr in ATTRIBUTES]
-    scenarios = []
-    for i, combo in enumerate(itertools.product(*axes)):
-        alternatives = []
-        for a, label in enumerate(labels):
-            chunk = dict(zip(ATTRIBUTES, combo[n_attr * a: n_attr * (a + 1)]))
-            alternatives.append((label, ExitAttributes(**chunk)))
-        scenarios.append(Scenario(id=i + 1, alternatives=tuple(alternatives)))
-    return scenarios
+    if levels.n_scenarios > MAX_CANDIDATES:
+        raise ValueError(f"the factorial has {levels.n_scenarios:,} "
+                         f"scenarios, more than {MAX_CANDIDATES:,}")
+    exits = [[(label, ExitAttributes(*combo))
+              for combo in itertools.product(*per.values())]
+             for label, per in levels.levels.items()]
+    return [Scenario(id=i, alternatives=alternatives)
+            for i, alternatives in enumerate(itertools.product(*exits), 1)]
 
 
 def fisher_information(design: Sequence[Scenario], spec: ModelSpec,
@@ -292,8 +296,8 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
     best over all restarts, so its D-error is <= that of every design
     visited during the search; scenarios come back sorted by candidate
     index with the D-error recomputed canonically from that ordering.
-    Deterministic given ``seed``; ``iterations`` (>= 1) is the restart
-    count.
+    Deterministic given ``seed``; ``iterations`` (1 to ``MAX_RESTARTS``)
+    is the restart count.
 
     Raises NotIdentifiedError when every design examined is singular, i.e.
     the spec is not identifiable with a design of this size.
@@ -304,8 +308,9 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
         raise ValueError("size must be >= 1")
     if size > n:
         raise ValueError(f"size {size} exceeds candidate count {n}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 1 <= iterations <= MAX_RESTARTS:
+        raise ValueError(f"iterations must be >= 1 and <= {MAX_RESTARTS:,}, "
+                         f"got {iterations}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     k = spec.n_params
@@ -318,8 +323,7 @@ def search_design(candidates: Sequence[Scenario], size: int, spec: ModelSpec,
             raise NotIdentifiedError(
                 f"no design of size {size} identifies all {k} coefficients "
                 "of this spec")
-        return EfficientDesign(scenarios=scenarios, d_error=d,
-                               priors=beta, spec=spec)
+        return EfficientDesign(scenarios=scenarios, d_error=d)
 
     if size == n:
         return finish(range(n))

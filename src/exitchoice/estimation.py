@@ -80,13 +80,6 @@ def log_likelihood(data: Sequence[ChoiceObservation], spec: ModelSpec,
     return sets.log_likelihood(beta)
 
 
-def gradient(data: Sequence[ChoiceObservation], spec: ModelSpec,
-             params) -> np.ndarray:
-    """Analytic score vector of the log-likelihood, length K."""
-    beta = as_params(spec, params)
-    return _ChoiceSets.from_observations(data, spec).score_hessian(beta)[0]
-
-
 def hessian(data: Sequence[ChoiceObservation], spec: ModelSpec,
             params) -> np.ndarray:
     """Analytic Hessian of the log-likelihood, K x K.

@@ -36,6 +36,10 @@ FAMILIARITY = {"A": (1.0, 0.0), "B": (0.0, 1.0), "both": (1.0, 1.0)}
 #: takes seconds, and a larger count is almost surely a mistyped step.
 MAX_SWEEP_POINTS = 1_000_000
 
+#: Most observations one dataset may have: each holds about 150 B as a
+#: ``ChoiceObservation``, so the cap is about 1.5 GB of them.
+MAX_OBSERVATIONS = 10_000_000
+
 
 def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
                      n_per_scenario: int, c1_pattern: float = 0.25,
@@ -46,7 +50,8 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
     ``round(c1_pattern * n_per_scenario)`` of them are flagged as first
     choices and draw from the c1=1 probabilities.  Output order is canonical
     (scenario order, then replicate order) and the whole dataset is
-    deterministic given ``seed``.  Participant ids are synthetic.
+    deterministic given ``seed``.  Participant ids are synthetic.  More
+    than ``MAX_OBSERVATIONS`` observations raise ValueError before any draw.
 
     The uniforms come from one ``rng.random((len(scenarios),
     n_per_scenario))`` call, scenario-major: the same PCG64 stream, in the
@@ -61,6 +66,9 @@ def generate_dataset(spec: ModelSpec, params, scenarios: Sequence[Scenario],
     """
     if n_per_scenario < 1:
         raise ValueError("n_per_scenario must be >= 1")
+    if len(scenarios) * n_per_scenario > MAX_OBSERVATIONS:
+        raise ValueError(f"{len(scenarios)} scenarios x {n_per_scenario} is "
+                         f"more than {MAX_OBSERVATIONS:,} observations")
     if not 0.0 <= c1_pattern <= 1.0:
         raise ValueError("c1_pattern must be a fraction in [0, 1]")
     if seed < 0:

@@ -12,14 +12,14 @@ import numpy as np
 from exitchoice import (ExitAttributes, ModelSpec, Scenario,
                         SensitivityConfig, choice_probabilities, d_error,
                         effective_coefficients, fit_mnl, full_factorial,
-                        generate_dataset, gradient, hessian, log_likelihood,
+                        generate_dataset, hessian, log_likelihood,
                         search_design, sensitivity_curve, two_sided_p,
                         utilities)
 from exitchoice import io
 from exitchoice import reference as ref
 from exitchoice.cli import main
 
-from oracles import softmax
+from oracles import gradient, softmax
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))

@@ -200,6 +200,29 @@ def test_design_size_exceeding_universe_exit_2(tmp_path):
     assert main(["design", "--config", str(config)]) == 2
 
 
+def test_design_factorial_over_the_cap_exit_2(tmp_path, capsys):
+    # 317 x 317 levels: 100,489 scenarios, refused before any is built
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "model": {"terms": [{"attr": "np"}]},
+        "levels": {label: {"np": list(range(317)), "dist": [4.0],
+                           "smoke": [0], "fam": [0]} for label in "AB"},
+        "priors": {"np": 0.1},
+        "design": {"size": 8}}))
+    assert main(["design", "--config", str(config)]) == 2
+    assert "100,489 scenarios" in capsys.readouterr().err
+
+
+def test_simulate_over_the_observation_cap_exit_2(tmp_path, params2,
+                                                  scenarios_csv, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--params", params2, "--scenarios",
+                 scenarios_csv, "--n", "1000000000", "--out", str(out)]) == 2
+    assert "8 scenarios x 1000000000 is more than" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("estimates", [ref.POOLED_ESTIMATES,
                                        ref.FIRST_CHOICE_ESTIMATES])
 @pytest.mark.parametrize("c1", ["0", "1"])
@@ -313,6 +336,8 @@ def small_design_config(tmp_path, priors, design):
      "design: unknown key(s) with_replacement"),
     ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": 0}, "iterations"),
     ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": -1},
+     "iterations"),
+    ({"np": 0.1, "smoke": -1.0}, {"size": 3, "iterations": 2**70},
      "iterations"),
 ])
 def test_design_bad_config_value_exit_2(tmp_path, capsys, priors, design,

@@ -18,12 +18,12 @@ import exitchoice
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         ModelSpec, Scenario, as_params, choice_probabilities,
                         d_error, fisher_information, fit_mnl,
-                        generate_dataset, gradient, hessian, log_likelihood,
+                        generate_dataset, hessian, log_likelihood,
                         search_design, systematic_utility, utilities)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
 
-from oracles import softmax
+from oracles import gradient, softmax
 
 POOLED_BETA = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
 
@@ -622,9 +622,9 @@ PUBLIC_API = [
     "NotIdentifiedError", "Scenario", "SensitivityConfig",
     "SeparationWarning", "as_params", "choice_probabilities", "d_error",
     "effective_coefficients", "fisher_information", "fit_mnl",
-    "full_factorial", "generate_dataset", "gradient", "hessian",
-    "inference_table", "log_likelihood", "search_design",
-    "sensitivity_curve", "systematic_utility", "two_sided_p", "utilities",
+    "full_factorial", "generate_dataset", "hessian", "inference_table",
+    "log_likelihood", "search_design", "sensitivity_curve",
+    "systematic_utility", "two_sided_p", "utilities",
 ]
 
 
@@ -635,3 +635,5 @@ def test_public_api_is_pinned():
     namespace = {}
     exec("from exitchoice import *", namespace)
     assert set(PUBLIC_API) <= set(namespace)
+    assert [f.name for f in dataclasses.fields(exitchoice.EfficientDesign)] \
+        == ["scenarios", "d_error"]

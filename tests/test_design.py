@@ -15,9 +15,11 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         search_design)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
-from exitchoice.design import (_RANK_RTOL, _SCREEN_RTOL, _candidate_terms,
-                               _d_errors, _scan)
+from exitchoice.design import (_RANK_RTOL, _SCREEN_RTOL, MAX_CANDIDATES,
+                               MAX_RESTARTS, _candidate_terms, _d_errors,
+                               _scan)
 
+import oracles
 from oracles import softmax
 
 POOLED_PRIORS = ref.estimates_vector(ref.POOLED_SPEC, ref.POOLED_ESTIMATES)
@@ -72,6 +74,70 @@ def test_full_factorial_degenerate_and_2x2():
         "A": {"np": (0, 5), "dist": (2.0,), "smoke": (0, 1), "fam": (1,)},
         "B": {"np": (0,), "dist": (3.0,), "smoke": (0,), "fam": (0,)}})
     assert len(full_factorial(two_by_two)) == 4
+
+
+_amounts = st.integers(0, 10) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def factor_levels(draw):
+    """2-4 exits; each varies at most two attributes over two levels, the
+    rest are single-level axes, and attributes come in any order."""
+    levels = {}
+    for label in draw(st.lists(st.text("ABCD", min_size=1, max_size=2),
+                               min_size=2, max_size=4, unique=True)):
+        varying = draw(st.lists(st.sampled_from(ATTRIBUTES), max_size=2,
+                                unique=True))
+        per = {}
+        for attr in draw(st.permutations(ATTRIBUTES)):
+            n = 2 if attr in varying else 1
+            if attr in ("smoke", "fam"):
+                per[attr] = draw(st.permutations((0, 1)))[:n]
+            else:
+                per[attr] = draw(st.lists(_amounts, min_size=n, max_size=n))
+        levels[label] = per
+    return FactorLevels(levels=levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_levels())
+def test_full_factorial_equals_oracle(levels):
+    got = full_factorial(levels)
+    want = oracles.full_factorial(levels)
+    assert [s.id for s in got] == [s.id for s in want]
+    assert got == want
+    # the same level objects too: an int level stays an int
+    assert list(map(repr, got)) == list(map(repr, want))
+    exits = {id(attrs) for s in got for _, attrs in s.alternatives}
+    assert len(exits) == sum(
+        math.prod(map(len, per.values())) for per in levels.levels.values())
+
+
+def test_full_factorial_builds_each_exit_once():
+    scenarios = full_factorial(ref.EXPERIMENT_LEVELS)
+    assert scenarios == oracles.full_factorial(ref.EXPERIMENT_LEVELS)
+    exits = {id(attrs) for s in scenarios for _, attrs in s.alternatives}
+    assert len(exits) == 40
+
+
+def test_full_factorial_rejects_more_than_max_candidates():
+    # two exits of side levels each: the count is a product of level
+    # counts, so nothing is enumerated
+    side = math.isqrt(MAX_CANDIDATES) + 1
+    levels = FactorLevels(levels={
+        label: {"np": tuple(range(side)), "dist": (2.0,), "smoke": (0,),
+                "fam": (0,)} for label in "AB"})
+    with pytest.raises(ValueError, match=f"the factorial has {side**2:,} "
+                       f"scenarios, more than {MAX_CANDIDATES:,}$"):
+        full_factorial(levels)
+
+
+def test_factor_levels_hold_attributes_in_registry_order():
+    levels = FactorLevels(levels={
+        "A": {"fam": (1,), "smoke": (0, 1), "np": (0, 5), "dist": (2.0,)},
+        "B": {"dist": (3.0,), "np": (0,), "fam": (0,), "smoke": (0,)}})
+    assert [list(per) for per in levels.levels.values()] == \
+        [list(ATTRIBUTES)] * 2
 
 
 def test_factor_levels_reject_empty_level_list():
@@ -326,7 +392,7 @@ def test_efficient_design_d_error_recomputable():
     candidates = random_candidates(12, rng)
     spec = ModelSpec((("np", False), ("dist", False)))
     result = search_design(candidates, 4, spec, [0.1, -0.3], seed=1)
-    recomputed = d_error(result.scenarios, result.spec, result.priors)
+    recomputed = d_error(result.scenarios, spec, [0.1, -0.3])
     assert recomputed == pytest.approx(result.d_error, abs=1e-9)
 
 
@@ -698,6 +764,16 @@ def test_search_rejects_iterations_below_one(iterations, size):
     candidates = random_candidates(6, np.random.default_rng(71))
     with pytest.raises(ValueError, match="iterations must be >= 1"):
         search_design(candidates, size, spec, [0.1, -0.2],
+                      iterations=iterations)
+
+
+@pytest.mark.parametrize("iterations", [MAX_RESTARTS + 1, 2**70])
+def test_search_rejects_iterations_above_max_restarts(iterations):
+    spec = ModelSpec((("np", False), ("dist", False)))
+    candidates = random_candidates(6, np.random.default_rng(71))
+    with pytest.raises(ValueError, match=f"<= {MAX_RESTARTS:,}, got "
+                                         f"{iterations}$"):
+        search_design(candidates, 2, spec, [0.1, -0.2],
                       iterations=iterations)
 
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         ModelSpec, NotIdentifiedError, Scenario,
                         SeparationWarning, fit_mnl, generate_dataset,
-                        gradient, hessian, inference_table, log_likelihood,
-                        two_sided_p)
+                        hessian, inference_table, log_likelihood, two_sided_p)
 from exitchoice import reference as ref
 from exitchoice.core import _ChoiceSets
+
+from oracles import gradient
 
 SPEC2 = ref.FIRST_CHOICE_SPEC
 TRUTH2 = np.array(ref.estimates_vector(SPEC2, ref.FIRST_CHOICE_ESTIMATES))

@@ -15,7 +15,7 @@ from exitchoice import (ATTRIBUTES, ChoiceObservation, ExitAttributes,
                         fit_mnl, generate_dataset, sensitivity_curve,
                         utilities)
 from exitchoice import reference as ref
-from exitchoice.simulation import MAX_SWEEP_POINTS, RULES
+from exitchoice.simulation import MAX_OBSERVATIONS, MAX_SWEEP_POINTS, RULES
 
 from oracles import softmax
 
@@ -119,6 +119,15 @@ def test_generate_dataset_validation():
     with pytest.raises(ValueError, match="fraction"):
         generate_dataset(SPEC2, TRUTH2, ref.EXPERIMENT_SCENARIOS, 5,
                          c1_pattern=1.5)
+
+
+def test_generate_dataset_rejects_more_than_max_observations():
+    # one observation over the cap, checked before any draw is allocated
+    scenarios = ref.EXPERIMENT_SCENARIOS
+    n = MAX_OBSERVATIONS // len(scenarios) + 1
+    with pytest.raises(ValueError, match=f"8 scenarios x {n} is more than "
+                                         f"{MAX_OBSERVATIONS:,} observations"):
+        generate_dataset(SPEC2, TRUTH2, scenarios, n)
 
 
 def test_roundtrip_recovery_within_five_percent():
